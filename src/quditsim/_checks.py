@@ -2,7 +2,7 @@
 
 Every public operation funnels its arguments through these, so the
 "validate eagerly, fail with a kind + operation name" discipline lives in
-one place.
+one place. The registries' read-only marker lives here too.
 """
 
 from __future__ import annotations
@@ -12,17 +12,40 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 
 
 def as_matrix(A, op: str) -> np.ndarray:
-    """Coerce to a fresh 2-D complex128 array; 1-D input becomes a column."""
-    M = np.array(A, dtype=np.complex128, copy=True)
+    """Coerce to a 2-D complex128 array; 1-D input becomes a column.
+
+    A complex128 input is returned as is or as a view, so callers must
+    neither write the result nor return it without a copy.
+    """
+    M = np.asarray(A, dtype=np.complex128)
     if M.ndim == 1:
         M = M.reshape(-1, 1)
     if M.ndim != 2:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, f"expected a matrix, got ndim={M.ndim}")
     return M
+
+
+def hermitian_part(M: np.ndarray, op: str, what: str = "matrix") -> np.ndarray:
+    """(M + M^dag) / 2 for a square M that is Hermitian up to roundoff.
+
+    The tolerance scales with the entries, EPS * max(1, max|M|), so the
+    same matrix passes at every scale.
+    """
+    H = M.conj().T
+    if np.abs(M - H).max() > EPS * max(1.0, float(np.abs(M).max())):
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, f"{what} is not Hermitian")
+    return (M + H) / 2
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a registry array read-only and return it."""
+    a.setflags(write=False)
+    return a
 
 
 def check_nonzero(M: np.ndarray, op: str) -> None:

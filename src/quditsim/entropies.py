@@ -14,7 +14,7 @@ import numpy as np
 from ._checks import as_matrix, check_dims_match, check_nonzero, check_square, check_subsys
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
-from .linalg import hevals
+from .linalg import _hermitian_input
 from .operations import ptrace
 
 
@@ -33,14 +33,10 @@ def shannon(probs: Sequence[float]) -> float:
 def entropy(rho) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
     op = "entropy"
-    M = as_matrix(rho, op)
-    check_nonzero(M, op)
-    check_square(M, op)
-    if np.abs(M - M.conj().T).max() > EPS:
-        raise QuantumError(ErrorKind.DIMS_INVALID, op, "matrix is not Hermitian")
-    if abs(np.trace(M).real - 1.0) > 1e-6:
+    H = _hermitian_input(rho, op)
+    if abs(np.trace(H).real - 1.0) > 1e-6:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, "trace is not 1")
-    evals = hevals(M)
+    evals = np.linalg.eigvalsh(H)
     if evals[0] < -1e-10:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, "matrix is not positive semidefinite")
     return float(-sum(x * log2(x) for x in evals if x > EPS))

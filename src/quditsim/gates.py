@@ -13,17 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_matrix, check_nonzero, check_square, check_subsys
+from ._checks import _frozen, as_matrix, check_nonzero, check_square, check_subsys
 from .constants import omega
 from .exceptions import ErrorKind, QuantumError
-from .indexing import multiidx_to_n, n_to_multiidx
+from .operations import _contract
 
 
 def cnot() -> np.ndarray:
     """Controlled-NOT on two qubits, control = first (leftmost) qubit."""
-    M = np.eye(4, dtype=np.complex128)
-    M[[2, 3]] = M[[3, 2]]
-    return M
+    return gt.CNOT.copy()
 
 
 def Xd(D: int) -> np.ndarray:
@@ -98,36 +96,11 @@ def ctrl_gate(
             f"U side {M.shape[0]} != d**len(target) = {tdim}",
         )
 
-    powers = [np.eye(tdim, dtype=np.complex128)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] @ M)
-
-    dims = [d] * n
-    tdims = [d] * len(target)
     D = d**n
-    K = np.zeros((D, D), dtype=np.complex128)
-    for col in range(D):
-        midx = n_to_multiidx(col, dims)
-        cvals = {midx[c] for c in ctrl}
-        if len(cvals) != 1:
-            K[col, col] = 1.0  # controls disagree: identity sector
-            continue
-        Uj = powers[cvals.pop()]
-        tin = multiidx_to_n([midx[t] for t in target], tdims)
-        for tout in range(tdim):
-            amp = Uj[tout, tin]
-            if amp == 0:
-                continue
-            out = list(midx)
-            for t, digit in zip(target, n_to_multiidx(tout, tdims)):
-                out[t] = digit
-            K[multiidx_to_n(out, dims), col] = amp
-    return K
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    # column k of the gate is its image of basis ket k: one batched pass
+    # over the identity, the trailing axis indexing the columns
+    K = _contract(np.eye(D, dtype=np.complex128).reshape([d] * n + [D]), M, target, ctrl, d)
+    return K.reshape(D, D)
 
 
 class GatesRegistry:
@@ -147,7 +120,7 @@ class GatesRegistry:
         self.H = _frozen(np.array([[s, s], [s, -s]], dtype=np.complex128))
         self.S = _frozen(np.diag([1, 1j]).astype(np.complex128))
         self.T = _frozen(np.diag([1, np.exp(1j * np.pi / 4)]).astype(np.complex128))
-        self.CNOT = _frozen(cnot())
+        self.CNOT = _frozen(ctrl_gate(self.X, [0], [1], 2))
         self.CZ = _frozen(np.diag([1, 1, 1, -1]).astype(np.complex128))
         swap = np.eye(4, dtype=np.complex128)
         swap[[1, 2]] = swap[[2, 1]]

@@ -19,6 +19,7 @@ Save/load round-trips are bitwise exact.
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
 from typing import Iterable
@@ -33,6 +34,7 @@ MAGIC = b"QSIM"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sBQQ")
+_CHUNK = 1 << 22  # bytes per payload read
 
 
 def _fmt_component(x: float, precision: int) -> str:
@@ -110,32 +112,47 @@ def save(A, sink) -> None:
         raise QuantumError(ErrorKind.IO_ERROR, "save", str(exc)) from None
 
 
-def load(source) -> np.ndarray:
-    """Read back a matrix written by :func:`save`, bit for bit."""
-    if isinstance(source, (str, Path)):
+def _read_exact(fh, n: int, what: str) -> bytearray:
+    # Bounded reads: a corrupt header asking for a huge payload fails on
+    # the first missing chunk instead of allocating its claimed size.
+    buf = bytearray()
+    while len(buf) < n:
         try:
-            with open(source, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        try:
-            data = source.read()
+            block = fh.read(min(n - len(buf), _CHUNK))
         except (OSError, ValueError) as exc:  # ValueError: closed stream
             raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None
-    if len(data) < _HEADER.size:
-        raise QuantumError(ErrorKind.IO_ERROR, "load", "truncated header")
-    magic, version, rows, cols = _HEADER.unpack_from(data)
+        if not block:
+            raise QuantumError(ErrorKind.IO_ERROR, "load", f"truncated {what}")
+        buf += block
+    return buf
+
+
+def _read_record(fh) -> np.ndarray:
+    magic, version, rows, cols = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
     if magic != MAGIC:
         raise QuantumError(ErrorKind.IO_ERROR, "load", "bad magic bytes")
     if version != VERSION:
         raise QuantumError(ErrorKind.IO_ERROR, "load", f"unsupported version {version}")
     if rows == 0 or cols == 0:
         raise QuantumError(ErrorKind.IO_ERROR, "load", "empty matrix record")
-    expected = _HEADER.size + 16 * rows * cols
-    if len(data) < expected:
-        raise QuantumError(ErrorKind.IO_ERROR, "load", "truncated payload")
-    flat = np.frombuffer(data, dtype="<c16", count=rows * cols, offset=_HEADER.size)
-    return flat.astype(np.complex128).reshape(rows, cols)
+    payload = _read_exact(fh, 16 * rows * cols, "payload")
+    flat = np.frombuffer(payload, dtype="<c16")
+    return flat.astype(np.complex128, copy=False).reshape(rows, cols)
+
+
+def load(source) -> np.ndarray:
+    """Read back one matrix written by :func:`save`, bit for bit.
+
+    A stream is left just after the record read, so matrices saved one
+    after another to a stream load back one per call.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            fh = open(source, "rb")
+        except OSError as exc:
+            raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None
+        with fh:
+            return _read_record(fh)
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    return _read_record(source)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import as_matrix, check_nonzero, check_square
-from .constants import EPS
+from ._checks import as_matrix, check_nonzero, check_square, hermitian_part
 from .exceptions import ErrorKind, QuantumError
 
 
@@ -70,10 +69,8 @@ def _hermitian_input(A, op: str) -> np.ndarray:
     M = as_matrix(A, op)
     check_nonzero(M, op)
     check_square(M, op)
-    if np.abs(M - M.conj().T).max() > EPS:
-        raise QuantumError(ErrorKind.DIMS_INVALID, op, "matrix is not Hermitian")
     # symmetrize to stabilize roundoff before the decomposition
-    return (M + M.conj().T) / 2
+    return hermitian_part(M, op)
 
 
 def hevals(H) -> np.ndarray:

@@ -12,9 +12,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import as_matrix, as_state, check_dims, check_nonzero, check_square, check_subsys
+from ._checks import as_matrix, as_state, check_dims, check_nonzero, check_square
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
+from .operations import _conjugate, _contract, _targets
 from .randomness import thread_rng
 
 
@@ -69,55 +70,41 @@ def measure(
     B = as_matrix(basis, op)
     check_nonzero(B, op)
     check_square(B, op)
-    ss = check_subsys(subsys, len(ds), op)
-    dsub = [ds[k] for k in ss]
-    Dsub = prod(dsub)
-    if B.shape[0] != Dsub:
-        raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX,
-            op,
-            f"basis side {B.shape[0]} != product of measured dimensions {Dsub}",
-        )
-    if np.abs(B.conj().T @ B - np.eye(Dsub)).max() > EPS:
+    ss = _targets(op, B.shape[0], subsys, ds, "basis", "measured")
+    Dsub = B.shape[0]
+    Bh = B.conj().T
+    if np.abs(Bh @ B - np.eye(Dsub)).max() > EPS:
         raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, "basis columns not orthonormal")
     if rng is None:
         rng = thread_rng()
 
     n = len(ds)
-    s = len(ss)
     rest = D // Dsub
-    probs = np.empty(Dsub)
-    states: list[np.ndarray] = []
-
     if is_ket:
-        t = M.reshape(ds)
-        for i in range(Dsub):
-            bt = B[:, i].conj().reshape(dsub)
-            phi = np.tensordot(bt, t, axes=(list(range(s)), ss)).reshape(-1, 1)
-            p = float(np.linalg.norm(phi) ** 2)
-            probs[i] = p
-            if p <= EPS:
-                states.append(np.zeros((0, 1), dtype=np.complex128))
-            elif rest == 1:
-                states.append(np.ones((1, 1), dtype=np.complex128))
-            else:
-                states.append(phi / np.sqrt(p))
+        # Moving the measured axes back to the front undoes the kernel's own
+        # move, so the reshape is free: row i is the unnormalized outcome-i ket.
+        phi = np.moveaxis(_contract(M.reshape(ds), Bh, ss), ss, list(range(len(ss))))
+        blocks = list(phi.reshape(Dsub, rest, 1))
+        probs = [np.vdot(b, b).real for b in blocks]
     else:
-        t = M.reshape(ds + ds)
-        colpos = [n - s + k for k in ss]  # column axes after the row contraction
-        for i in range(Dsub):
-            bt = B[:, i].reshape(dsub)
-            red = np.tensordot(bt.conj(), t, axes=(list(range(s)), ss))
-            red = np.tensordot(red, bt, axes=(colpos, list(range(s))))
-            red = red.reshape(rest, rest)
-            p = float(np.trace(red).real)
-            probs[i] = max(p, 0.0)
-            if probs[i] <= EPS:
-                states.append(np.zeros((0, 0), dtype=np.complex128))
-            elif rest == 1:
-                states.append(np.ones((1, 1), dtype=np.complex128))
-            else:
-                states.append(red / p)
+        # B^dag on the rows and B^T on the columns; outcome i is the diagonal
+        # block where every measured row and column digit equals i's.
+        t = _conjugate(M.reshape(ds + ds), Bh, ss)
+        blocks = []
+        for idx in np.ndindex(*(ds[k] for k in ss)):
+            sl: list = [slice(None)] * (2 * n)
+            for k, j in zip(ss, idx):
+                sl[k] = sl[n + k] = j
+            blocks.append(t[tuple(sl)].reshape(rest, rest))
+        probs = [max(float(np.trace(b).real), 0.0) for b in blocks]
 
-    result = _sample(probs, rng)
+    states: list[np.ndarray] = []
+    for p, b in zip(probs, blocks):
+        if p <= EPS:
+            states.append(np.zeros((0, 1 if is_ket else 0), dtype=np.complex128))
+        elif rest == 1:
+            states.append(np.ones((1, 1), dtype=np.complex128))
+        else:
+            states.append(b / (np.sqrt(p) if is_ket else p))
+    result = _sample(np.array(probs), rng)
     return MeasurementOutcome(result, [float(p) for p in probs], states)

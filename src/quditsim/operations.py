@@ -25,36 +25,77 @@ from ._checks import (
     check_nonzero,
     check_square,
     check_subsys,
+    hermitian_part,
 )
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 
 
-def _op_tensor_apply(t: np.ndarray, Ut: np.ndarray, s: int, axes: Sequence[int]) -> np.ndarray:
-    """Contract the s input axes of Ut (shape out_dims + in_dims) against
-    ``axes`` of t, putting the output axes back in their place."""
-    out = np.tensordot(Ut, t, axes=(list(range(s, 2 * s)), list(axes)))
+def _contract(
+    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = (), d: int = 2
+) -> np.ndarray:
+    """Apply the square matrix G to ``axes`` of tensor t, in that factor order.
+
+    With ``ctrl`` set, G^j acts only on the slice where every control axis
+    (each of dimension d) equals j, and every other slice is copied as is.
+    Never writes t; the result shares no memory with it.
+    """
+    if ctrl:
+        out = t.copy()
+        # fixing the control axes removes them, shifting later axes down
+        shifted = [a - sum(c < a for c in ctrl) for a in axes]
+        Gj = G
+        for j in range(1, d):
+            sl = tuple(j if k in ctrl else slice(None) for k in range(t.ndim))
+            out[sl] = _contract(t[sl], Gj, shifted)
+            if j + 1 < d:
+                Gj = Gj @ G
+        return out
+    s = len(axes)
+    dsub = [t.shape[a] for a in axes]
+    out = np.tensordot(G.reshape(dsub + dsub), t, axes=(list(range(s, 2 * s)), list(axes)))
     return np.moveaxis(out, list(range(s)), list(axes))
 
 
+def _conjugate(
+    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = (), d: int = 2
+) -> np.ndarray:
+    """G_full rho G_full^dag on the row + column tensor t of a density matrix."""
+    n = t.ndim // 2
+    t = _contract(t, G, axes, ctrl, d)
+    return _contract(t, G.conj(), [n + a for a in axes], [n + c for c in ctrl], d)
+
+
+def _apply(
+    M: np.ndarray, G: np.ndarray, ds: list[int], axes: Sequence[int], ctrl=(), d: int = 2
+) -> np.ndarray:
+    """G on ``axes`` of the ket M, or conjugating the density matrix M."""
+    if M.shape[1] == 1:
+        return _contract(M.reshape(ds), G, axes, ctrl, d).reshape(M.shape)
+    return _conjugate(M.reshape(ds + ds), G, axes, ctrl, d).reshape(M.shape)
+
+
+def _targets(
+    op: str, side: int, subsys: Sequence[int], ds: list[int], what: str, of: str = "targeted"
+) -> list[int]:
+    """Validated subsystem list whose dimensions multiply to ``side``."""
+    ss = check_subsys(subsys, len(ds), op)
+    p = prod(ds[k] for k in ss)
+    if side != p:
+        detail = f"{what} side {side} != product of {of} dimensions {p}"
+        raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, detail)
+    return ss
+
+
 def _validated_targets(
-    op: str, state, U, subsys: Sequence[int], dims: Sequence[int]
-) -> tuple[np.ndarray, bool, np.ndarray, list[int], list[int], list[int]]:
+    op: str, state, U, subsys: Sequence[int], dims: Sequence[int], of: str = "targeted"
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
     ds = check_dims(dims, op)
-    D = prod(ds)
-    M, is_ket = as_state(state, D, op)
+    M, _ = as_state(state, prod(ds), op)
     G = as_matrix(U, op)
     check_nonzero(G, op)
     check_square(G, op)
-    ss = check_subsys(subsys, len(ds), op)
-    dsub = [ds[k] for k in ss]
-    if G.shape[0] != prod(dsub):
-        raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX,
-            op,
-            f"operator side {G.shape[0]} != product of targeted dimensions {prod(dsub)}",
-        )
-    return M, is_ket, G, ss, ds, dsub
+    return M, G, _targets(op, G.shape[0], subsys, ds, "operator", of), ds
 
 
 def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -73,17 +114,8 @@ def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     Returns:
         A ket for ket input, a square matrix for matrix input.
     """
-    M, is_ket, G, ss, ds, dsub = _validated_targets("apply", state, U, subsys, dims)
-    n = len(ds)
-    s = len(ss)
-    Ut = G.reshape(dsub + dsub)
-    if is_ket:
-        t = _op_tensor_apply(M.reshape(ds), Ut, s, ss)
-        return t.reshape(-1, 1)
-    t = M.reshape(ds + ds)
-    t = _op_tensor_apply(t, Ut, s, ss)
-    t = _op_tensor_apply(t, Ut.conj(), s, [n + k for k in ss])
-    return t.reshape(M.shape)
+    M, G, ss, ds = _validated_targets("apply", state, U, subsys, dims)
+    return _apply(M, G, ds, ss)
 
 
 def apply_ctrl(
@@ -96,14 +128,8 @@ def apply_ctrl(
     configuration is left alone. Works on kets and density matrices.
     """
     op = "apply_ctrl"
-    ds = check_dims(dims, op)
-    D = prod(ds)
-    M, is_ket = as_state(state, D, op)
-    G = as_matrix(U, op)
-    check_nonzero(G, op)
-    check_square(G, op)
+    M, G, tt, ds = _validated_targets(op, state, U, target, dims, "target")
     cc = check_subsys(ctrl, len(ds), op)
-    tt = check_subsys(target, len(ds), op)
     if set(cc) & set(tt):
         raise QuantumError(ErrorKind.SUBSYS_MISMATCH_DIMS, op, "ctrl and target overlap")
     d = ds[cc[0]]
@@ -111,45 +137,7 @@ def apply_ctrl(
         raise QuantumError(
             ErrorKind.SUBSYS_MISMATCH_DIMS, op, "control subsystems must share one dimension"
         )
-    dsub = [ds[k] for k in tt]
-    tdim = prod(dsub)
-    if G.shape[0] != tdim:
-        raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX,
-            op,
-            f"operator side {G.shape[0]} != product of target dimensions {tdim}",
-        )
-
-    powers = [np.eye(tdim, dtype=np.complex128)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] @ G)
-    n = len(ds)
-    s = len(tt)
-
-    def sector_apply(t: np.ndarray, offset: int, Uj: np.ndarray, j: int) -> None:
-        # Fix the control axes (at +offset) to value j; the slice keeps the
-        # remaining axes in order, so target positions shift down by the
-        # number of removed axes before them.
-        sl: list = [slice(None)] * t.ndim
-        for c in cc:
-            sl[offset + c] = j
-        sub = t[tuple(sl)]
-        shifted = [offset + k - sum(1 for c in cc if c < k) for k in tt]
-        Ut = Uj.reshape(dsub + dsub)
-        t[tuple(sl)] = _op_tensor_apply(sub, Ut, s, shifted)
-
-    if is_ket:
-        t = M.reshape(ds).copy()
-        for j in range(1, d):
-            sector_apply(t, 0, powers[j], j)
-        return t.reshape(-1, 1)
-
-    t = M.reshape(ds + ds).copy()
-    for j in range(1, d):  # left factor: K rho
-        sector_apply(t, 0, powers[j], j)
-    for j in range(1, d):  # right factor: (K rho) K^dag
-        sector_apply(t, n, powers[j].conj(), j)
-    return t.reshape(M.shape)
+    return _apply(M, G, ds, tt, cc, d)
 
 
 def _check_kraus(Ks, op: str) -> list[np.ndarray]:
@@ -183,23 +171,11 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
         raise QuantumError(
             ErrorKind.DIMS_MISMATCH_MATRIX, op, f"state side {M.shape[0]} != prod(dims) {D}"
         )
-    ss = check_subsys(subsys, len(ds), op)
-    dsub = [ds[k] for k in ss]
-    if ops[0].shape[0] != prod(dsub):
-        raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX,
-            op,
-            f"Kraus side {ops[0].shape[0]} != product of targeted dimensions {prod(dsub)}",
-        )
-    n = len(ds)
-    s = len(ss)
+    ss = _targets(op, ops[0].shape[0], subsys, ds, "Kraus")
     t = M.reshape(ds + ds)
-    out = np.zeros_like(t)
+    out = np.zeros(t.shape, dtype=np.complex128)
     for K in ops:
-        Kt = K.reshape(dsub + dsub)
-        term = _op_tensor_apply(t, Kt, s, ss)
-        term = _op_tensor_apply(term, Kt.conj(), s, [n + k for k in ss])
-        out += term
+        out += _conjugate(t, K, ss)
     return out.reshape(M.shape)
 
 
@@ -267,9 +243,7 @@ def choi2kraus(J) -> list[np.ndarray]:
     D = int(round(M.shape[0] ** 0.5))
     if D * D != M.shape[0]:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, f"side {M.shape[0]} is not a perfect square")
-    if np.abs(M - M.conj().T).max() > EPS:
-        raise QuantumError(ErrorKind.DIMS_INVALID, op, "Choi matrix is not Hermitian")
-    evals, V = np.linalg.eigh((M + M.conj().T) / 2)
+    evals, V = np.linalg.eigh(hermitian_part(M, op, "Choi matrix"))
     if evals[0] < -EPS * max(1.0, float(evals[-1])):
         raise QuantumError(ErrorKind.DIMS_INVALID, op, "Choi matrix is not positive semidefinite")
     out = []
@@ -321,7 +295,7 @@ def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     axes = list(range(2 * n))
     for k in ss:
         axes[k], axes[n + k] = axes[n + k], axes[k]
-    return M.reshape(ds + ds).transpose(axes).reshape(D, D).copy()
+    return M.reshape(ds + ds).transpose(axes).copy().reshape(D, D)
 
 
 def invperm(perm: Sequence[int]) -> list[int]:
@@ -364,6 +338,6 @@ def syspermute(state, perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     for k, v in enumerate(p):
         src[v] = k
     if is_ket:
-        return M.reshape(ds).transpose(src).reshape(-1, 1)
+        return M.reshape(ds).transpose(src).copy().reshape(-1, 1)
     axes = src + [n + k for k in src]
-    return M.reshape(ds + ds).transpose(axes).reshape(D, D).copy()
+    return M.reshape(ds + ds).transpose(axes).copy().reshape(D, D)

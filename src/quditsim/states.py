@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_dims
+from ._checks import _frozen, check_dims
 from .exceptions import ErrorKind, QuantumError
 from .indexing import multiidx_to_n
 from .linalg import kron_pow
@@ -22,11 +22,6 @@ def _basis_ket(D: int, j: int) -> np.ndarray:
     v = np.zeros((D, 1), dtype=np.complex128)
     v[j, 0] = 1.0
     return v
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class StatesRegistry:
@@ -82,8 +77,7 @@ def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray
 
 def bell00() -> np.ndarray:
     """The Bell state (|00> + |11>)/sqrt(2)."""
-    s = 1 / sqrt(2)
-    return np.array([[s], [0], [0], [s]], dtype=np.complex128)
+    return st.b00.copy()
 
 
 def shor_codeword(logical: int) -> np.ndarray:

@@ -101,3 +101,34 @@ def channel_on_basis(Ks, D):
             E[a, b] = 1.0
             out.append(sum(K @ E @ K.conj().T for K in Ks))
     return np.array(out)
+
+
+def ref_ctrl_gate(U, ctrl, target, n, d):
+    """Controlled-U^j on n qudits of dimension d, built column by column:
+    each basis ket's digits decide which power of U (if any) rewrites its
+    target digits."""
+    U = np.asarray(U, dtype=complex)
+    powers = [np.eye(d ** len(target), dtype=complex)]
+    for _ in range(d - 1):
+        powers.append(powers[-1] @ U)
+
+    def lin(digits):
+        idx = 0
+        for digit in digits:
+            idx = idx * d + digit
+        return idx
+
+    K = np.zeros((d**n, d**n), dtype=complex)
+    for col, midx in enumerate(ref_multiindex_enumeration([d] * n)):
+        cvals = {midx[c] for c in ctrl}
+        if len(cvals) != 1:
+            K[col, col] = 1.0  # controls disagree: identity sector
+            continue
+        Uj = powers[cvals.pop()]
+        tin = lin([midx[t] for t in target])
+        for tout, tdigits in enumerate(ref_multiindex_enumeration([d] * len(target))):
+            out = list(midx)
+            for t, digit in zip(target, tdigits):
+                out[t] = digit
+            K[lin(out), col] = Uj[tout, tin]
+    return K

@@ -16,6 +16,8 @@ from quditsim import (
     rand_unitary,
 )
 
+from _oracles import ref_ctrl_gate
+
 FIXED_GATES = ("X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP", "TOF", "FRED")
 
 
@@ -141,6 +143,26 @@ def test_ctrl_gate_multi_control_disagreeing_controls_identity():
     for c0, c1, t in ((0, 1, 0), (1, 0, 1), (0, 1, 1)):
         v = mket([c0, c1, t])
         assert np.abs(G @ v - v).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "d, n, ctrl, target",
+    [
+        (2, 3, [1], [0]),
+        (2, 4, [3, 0], [2, 1]),
+        (2, 4, [1, 2], [3, 0]),
+        (3, 3, [1], [2, 0]),
+        (3, 4, [3, 0], [2, 1]),
+        (3, 3, [2, 0], [1]),
+    ],
+)
+def test_ctrl_gate_matches_reference_loop(d, n, ctrl, target):
+    # a non-unitary U, so that every power U^j is distinct and checked
+    rng = default_rng(d * 100 + n)
+    side = d ** len(target)
+    U = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    expected = ref_ctrl_gate(U, ctrl, target, n, d)
+    assert np.abs(ctrl_gate(U, ctrl, target, n, d) - expected).max() < 1e-12
 
 
 def test_ctrl_gate_errors():

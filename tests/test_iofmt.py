@@ -147,6 +147,25 @@ def test_load_truncated():
         with pytest.raises(QuantumError) as ei:
             load(data[:cut])
         assert ei.value.kind is ErrorKind.IO_ERROR
+    # a header claiming ~2**64 bytes fails on the missing data, not by
+    # allocating what it claims
+    huge = struct.pack("<4sBQQ", b"QSIM", 1, 2**31, 2**29) + bytes(64)
+    with pytest.raises(QuantumError) as ei:
+        load(io.BytesIO(huge))
+    assert ei.value.detail == "truncated payload"
+
+
+def test_load_reads_one_record_per_call():
+    rng = default_rng(2)
+    A = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    B = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    buf = io.BytesIO()
+    save(A, buf)
+    save(B, buf)
+    buf.seek(0)
+    for M in (A, B):
+        assert np.array_equal(load(buf).view(np.float64), M.view(np.float64))
+    assert buf.read() == b""
 
 
 def test_load_zero_dims_rejected():

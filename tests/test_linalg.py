@@ -146,6 +146,24 @@ def test_hevals_rejects_non_hermitian():
     assert ei.value.kind is ErrorKind.MATRIX_NOT_SQUARE
 
 
+def test_hevals_tolerance_scales_with_the_matrix():
+    # Hermitian of max-norm 1e6 plus an anti-Hermitian part of one unit in
+    # the last place: valid input up to roundoff at any scale
+    rng = default_rng(12)
+    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    E = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    H = (A + A.conj().T) / 2
+    E = (E - E.conj().T) / 2
+    scale = 1e6
+    M = H * (scale / np.abs(H).max()) + E * (np.finfo(float).eps * scale / np.abs(E).max())
+    expected = np.linalg.eigvalsh((M + M.conj().T) / 2)
+    assert np.abs(hevals(M) - expected).max() < 1e-12 * scale
+    # a genuinely non-Hermitian part is still rejected at that scale
+    with pytest.raises(QuantumError) as ei:
+        hevals(M + 1e-3 * E / np.abs(E).max())
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+
+
 def test_hevects_z_and_x():
     evals, V = hevects(np.diag([1.0, -1.0]))
     assert np.allclose(evals, [-1, 1])

@@ -1,0 +1,100 @@
+"""Every public function that takes arrays reads them without writing them
+and returns results that share no memory with them.
+
+Inputs are read-only complex128 arrays: coercion passes such arrays
+through without a copy, so any write raises and any returned view of an
+input shows up as shared memory.
+"""
+
+import io
+
+import numpy as np
+import pytest
+
+import quditsim as q
+from _oracles import rand_cptp
+
+
+def _ro(a, dtype=np.complex128):
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+_rng = q.default_rng(21)
+DIMS = [2, 3, 2]
+KET = _ro(q.rand_ket(12, _rng))
+RHO = _ro(q.rand_rho(12, _rng))
+U2 = _ro(q.rand_unitary(2, _rng))
+U3 = _ro(q.rand_unitary(3, _rng))
+U4 = _ro(q.rand_unitary(4, _rng))
+U12 = _ro(q.rand_unitary(12, _rng))
+I3 = _ro(np.eye(3))
+KRAUS = [_ro(K) for K in rand_cptp(2, 2, _rng)]
+CHOI = _ro(q.kraus2choi(KRAUS))
+VEC = _ro(q.vec(RHO))
+
+CASES = {
+    "apply_ket": (q.apply, KET, U3, [1], DIMS),
+    "apply_rho": (q.apply, RHO, U4, [2, 0], DIMS),
+    "apply_identity_ket": (q.apply, KET, I3, [1], DIMS),
+    "apply_identity_rho": (q.apply, RHO, I3, [1], DIMS),
+    "apply_flat_ket": (q.apply, KET.reshape(-1), U2, [0], DIMS),
+    "apply_ctrl_ket": (q.apply_ctrl, KET, U2, [0], [2], DIMS),
+    "apply_ctrl_rho": (q.apply_ctrl, RHO, U2, [2], [0], DIMS),
+    "apply_channel": (q.apply_channel, RHO, KRAUS, [0], DIMS),
+    "measure_ket": (q.measure, KET, U2, [2], DIMS, q.default_rng(0)),
+    "measure_ket_all": (q.measure, KET, U12, [0, 1, 2], DIMS, q.default_rng(0)),
+    "measure_rho": (q.measure, RHO, U3, [1], DIMS, q.default_rng(0)),
+    "measure_rho_all": (q.measure, RHO, U12, [0, 1, 2], DIMS, q.default_rng(0)),
+    "ptrace_ket_empty": (q.ptrace, KET, [], DIMS),
+    "ptrace_rho_empty": (q.ptrace, RHO, [], DIMS),
+    "ptrace_rho": (q.ptrace, RHO, [1], DIMS),
+    "ptranspose_rho_empty": (q.ptranspose, RHO, [], DIMS),
+    "ptranspose_rho": (q.ptranspose, RHO, [0, 2], DIMS),
+    "syspermute_ket_identity": (q.syspermute, KET, [0, 1, 2], DIMS),
+    "syspermute_rho_identity": (q.syspermute, RHO, [0, 1, 2], DIMS),
+    "syspermute_ket": (q.syspermute, KET, [2, 0, 1], DIMS),
+    "syspermute_rho": (q.syspermute, RHO, [1, 2, 0], DIMS),
+    "vec": (q.vec, RHO),
+    "unvec": (q.unvec, VEC),
+    "kraus2super": (q.kraus2super, KRAUS),
+    "kraus2choi": (q.kraus2choi, KRAUS),
+    "choi2kraus": (q.choi2kraus, CHOI),
+    "ctrl_gate": (q.ctrl_gate, U2, [0], [1], 2),
+    "transpose": (q.transpose, RHO),
+    "adjoint": (q.adjoint, RHO),
+    "trace": (q.trace, RHO),
+    "norm": (q.norm, KET),
+    "kron": (q.kron, U2, U3),
+    "kron_pow_1": (q.kron_pow, U2, 1),
+    "kron_pow_2": (q.kron_pow, U2, 2),
+    "hevals": (q.hevals, RHO),
+    "hevects": (q.hevects, RHO),
+    "entropy": (q.entropy, RHO),
+    "qmutualinfo": (q.qmutualinfo, RHO, [0], [2], DIMS),
+    "shannon": (q.shannon, _ro([0.25, 0.75], dtype=float)),
+    "format_matrix": (q.format_matrix, U2),
+    "save": (q.save, RHO, io.BytesIO()),
+}
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_inputs_are_read_not_written_and_never_aliased(name):
+    fn, *args = CASES[name]
+    inputs = list(_arrays(args))
+    before = [a.copy() for a in inputs]
+    out = fn(*args)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    for o in _arrays(out):
+        for a in inputs:
+            assert not np.shares_memory(o, a)

@@ -33,7 +33,14 @@ from quditsim import (
     vec,
 )
 
-from _oracles import channel_on_basis, embed_operator, rand_cptp, ref_ptrace, ref_ptranspose
+from _oracles import (
+    channel_on_basis,
+    embed_operator,
+    rand_cptp,
+    ref_ctrl_gate,
+    ref_ptrace,
+    ref_ptranspose,
+)
 
 DEPHASING = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
 
@@ -166,7 +173,8 @@ def test_apply_ctrl_equals_ctrl_gate_uniform_dims():
         (3, 3, [0], [1, 2]),
     ):
         U = rand_unitary(d ** len(target), rng)
-        G = ctrl_gate(U, ctrl, target, n, d)
+        G = ref_ctrl_gate(U, ctrl, target, n, d)
+        assert np.abs(ctrl_gate(U, ctrl, target, n, d) - G).max() < 1e-12
         psi = rand_ket(d**n, rng)
         assert np.abs(apply_ctrl(psi, U, ctrl, target, [d] * n) - G @ psi).max() < 1e-12
         rho = rand_rho(d**n, rng)
