@@ -17,6 +17,9 @@ from .exceptions import ErrorKind, QuantumError
 from .linalg import _hermitian_input
 from .operations import ptrace
 
+# How far a trace (or a ket's squared norm) may stray from 1.
+_TRACE_TOL = 1e-6
+
 
 def shannon(probs: Sequence[float]) -> float:
     """Shannon entropy -sum p log2 p of a probability list, in bits."""
@@ -31,10 +34,16 @@ def shannon(probs: Sequence[float]) -> float:
 
 
 def entropy(rho) -> float:
-    """Von Neumann entropy of a density matrix, in bits."""
+    """Von Neumann entropy of a density matrix, in bits; 0 for a ket."""
     op = "entropy"
-    H = _hermitian_input(rho, op)
-    if abs(np.trace(H).real - 1.0) > 1e-6:
+    M = as_matrix(rho, op)
+    check_nonzero(M, op)
+    if M.shape[0] > 1 and M.shape[1] == 1:
+        if abs(np.vdot(M, M).real - 1.0) > _TRACE_TOL:
+            raise QuantumError(ErrorKind.DIMS_INVALID, op, "ket norm is not 1")
+        return 0.0
+    H = _hermitian_input(M, op)
+    if abs(np.trace(H).real - 1.0) > _TRACE_TOL:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, "trace is not 1")
     evals = np.linalg.eigvalsh(H)
     if evals[0] < -1e-10:
@@ -46,20 +55,23 @@ def qmutualinfo(rho, A: Sequence[int], B: Sequence[int], dims: Sequence[int]) ->
     """Quantum mutual information S(rho_A) + S(rho_B) - S(rho_AB).
 
     Each reduced state is obtained by tracing out the complement of the
-    corresponding index set.
+    corresponding index set. ``rho`` may be a density matrix or a ket.
     """
     op = "qmutualinfo"
     M = as_matrix(rho, op)
     check_nonzero(M, op)
-    check_square(M, op)
+    if M.shape[1] != 1:
+        check_square(M, op)
     ds = check_dims_match(dims, M.shape[0], op)
     n = len(ds)
     sa = check_subsys(A, n, op)
     sb = check_subsys(B, n, op)
     if set(sa) & set(sb):
         raise QuantumError(ErrorKind.SUBSYS_MISMATCH_DIMS, op, "index sets overlap")
-    ab = set(sa) | set(sb)
-    rho_a = ptrace(M, [k for k in range(n) if k not in set(sa)], ds)
-    rho_b = ptrace(M, [k for k in range(n) if k not in set(sb)], ds)
-    rho_ab = ptrace(M, [k for k in range(n) if k not in ab], ds)
-    return entropy(rho_a) + entropy(rho_b) - entropy(rho_ab)
+
+    def reduced(kept: set[int]):
+        out = [k for k in range(n) if k not in kept]
+        return ptrace(M, out, ds) if out else M
+
+    a, b = set(sa), set(sb)
+    return entropy(reduced(a)) + entropy(reduced(b)) - entropy(reduced(a | b))

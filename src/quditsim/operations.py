@@ -66,13 +66,53 @@ def _conjugate(
     return _contract(t, G.conj(), [n + a for a in axes], [n + c for c in ctrl], d)
 
 
+def _one_pass(dsub: int, r: int, D: int) -> bool:
+    """Whether r Kraus terms of side dsub on a D x D rho take the superoperator.
+
+    It costs dsub / (2 r) times the Kraus loop's arithmetic, so at most
+    twice as much, and its (dsub^2, dsub^2) matrix is no bigger than rho.
+    """
+    return dsub <= 4 * r and dsub * dsub <= D
+
+
+def _channel(t: np.ndarray, Ks: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
+    """sum_i K_i_full rho K_i_full^dag on the row + column tensor t of rho.
+
+    Either one contraction with S = sum_i kron(K_i, conj(K_i)) on the row
+    and column axes together (row-major pairs (i, j), unlike the
+    column-stacking :func:`kraus2super`), or two passes per Kraus term.
+    """
+    n = t.ndim // 2
+    dsub = Ks[0].shape[0]
+    if _one_pass(dsub, len(Ks), prod(t.shape[:n])):
+        S = np.kron(Ks[0], Ks[0].conj())
+        for K in Ks[1:]:
+            S += np.kron(K, K.conj())
+        return _contract(t, S, list(axes) + [n + a for a in axes])
+    out = _conjugate(t, Ks[0], axes)
+    for K in Ks[1:]:
+        out += _conjugate(t, K, axes)
+    return out
+
+
 def _apply(
     M: np.ndarray, G: np.ndarray, ds: list[int], axes: Sequence[int], ctrl=(), d: int = 2
 ) -> np.ndarray:
     """G on ``axes`` of the ket M, or conjugating the density matrix M."""
     if M.shape[1] == 1:
         return _contract(M.reshape(ds), G, axes, ctrl, d).reshape(M.shape)
-    return _conjugate(M.reshape(ds + ds), G, axes, ctrl, d).reshape(M.shape)
+    t = M.reshape(ds + ds)
+    if not ctrl:
+        return _channel(t, [G], axes).reshape(M.shape)
+    local = [ds[a] for a in [*ctrl, *axes]]
+    k = prod(local)
+    if not _one_pass(k, 1, M.shape[0]):
+        return _conjugate(t, G, axes, ctrl, d).reshape(M.shape)
+    # the controlled gate on ctrl + target alone, its columns on the last axis
+    nc = len(ctrl)
+    eye = np.eye(k, dtype=np.complex128).reshape(local + [k])
+    CU = _contract(eye, G, list(range(nc, len(local))), list(range(nc)), d).reshape(k, k)
+    return _channel(t, [CU], [*ctrl, *axes]).reshape(M.shape)
 
 
 def _targets(
@@ -172,11 +212,7 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
             ErrorKind.DIMS_MISMATCH_MATRIX, op, f"state side {M.shape[0]} != prod(dims) {D}"
         )
     ss = _targets(op, ops[0].shape[0], subsys, ds, "Kraus")
-    t = M.reshape(ds + ds)
-    out = np.zeros(t.shape, dtype=np.complex128)
-    for K in ops:
-        out += _conjugate(t, K, ss)
-    return out.reshape(M.shape)
+    return _channel(M.reshape(ds + ds), ops, ss).reshape(M.shape)
 
 
 def vec(A) -> np.ndarray:
@@ -233,8 +269,9 @@ def choi2kraus(J) -> list[np.ndarray]:
     """Kraus operators of the channel with (unnormalized) Choi matrix J.
 
     Eigendecomposes J and emits sqrt(eigval) * unvec(eigvec) for every
-    eigenvalue above the zero-comparison tolerance; the result satisfies
-    ``kraus2choi(choi2kraus(J)) == J`` up to numerical error.
+    eigenvalue above EPS times the largest one, so the cutoff scales with
+    J; the result satisfies ``kraus2choi(choi2kraus(J)) == J`` up to
+    numerical error.
     """
     op = "choi2kraus"
     M = as_matrix(J, op)
@@ -244,33 +281,36 @@ def choi2kraus(J) -> list[np.ndarray]:
     if D * D != M.shape[0]:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, f"side {M.shape[0]} is not a perfect square")
     evals, V = np.linalg.eigh(hermitian_part(M, op, "Choi matrix"))
-    if evals[0] < -EPS * max(1.0, float(evals[-1])):
+    if evals[0] < -EPS * evals[-1]:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, "Choi matrix is not positive semidefinite")
     out = []
     for lam, v in zip(evals, V.T):
-        if lam > EPS:
+        if lam > EPS * evals[-1]:
             out.append(np.sqrt(lam) * v.reshape(D, D, order="F"))
     return out
 
 
 def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Trace OUT the listed subsystems; kets are promoted to projectors.
+    """Trace OUT the listed subsystems of a density matrix or a ket.
 
-    The remaining subsystems keep their relative order.
+    The remaining subsystems keep their relative order. A ket psi gives
+    A A^dag, with A the (kept, traced) matrix of its amplitudes, so its
+    D x D projector is never formed.
     """
     op = "ptrace"
     ds = check_dims(dims, op)
     D = prod(ds)
     M, is_ket = as_state(rho, D, op)
-    if is_ket:
-        M = M @ M.conj().T
     ss = check_subsys(subsys, len(ds), op, allow_empty=True)
-    if not ss:
-        return M.copy()
     n = len(ds)
     keep = [k for k in range(n) if k not in set(ss)]
     dk = prod(ds[k] for k in keep) if keep else 1
     dt = prod(ds[k] for k in ss)
+    if is_ket:
+        A = M.reshape(ds).transpose(keep + ss).reshape(dk, dt)
+        return A @ A.conj().T
+    if not ss:
+        return M.copy()
     t = M.reshape(ds + ds)
     t = t.transpose(keep + ss + [n + k for k in keep] + [n + k for k in ss])
     t = t.reshape(dk, dt, dk, dt)
@@ -280,7 +320,7 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
 def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Transpose only the listed subsystems' indices; involution.
 
-    Kets are promoted to projectors, as in :func:`ptrace`.
+    Kets are promoted to their projectors.
     """
     op = "ptranspose"
     ds = check_dims(dims, op)

@@ -82,6 +82,21 @@ def embed_operator(U, subsys, dims):
     return syspermute(big, perm, dims_ordered)
 
 
+def embed_ctrl(U, ctrl, target, dims, d):
+    """Full-space controlled-U^j as I + sum_j P_j (U^j - I), with P_j the
+    projector on "every control reads j" and U^j embedded on ``target``."""
+    D = prod(dims)
+    G = np.eye(D, dtype=complex)
+    Uj = np.eye(len(U), dtype=complex)
+    for j in range(1, d):
+        Uj = Uj @ U
+        ket_j = np.zeros((d ** len(ctrl), 1))
+        ket_j[sum(j * d**p for p in range(len(ctrl)))] = 1.0
+        P = embed_operator(ket_j @ ket_j.T, ctrl, dims)
+        G += P @ (embed_operator(Uj, target, dims) - np.eye(D))
+    return G
+
+
 def rand_cptp(D, k, rng):
     """k Kraus operators forming a random CPTP channel on dimension D."""
     Gs = [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for _ in range(k)]

@@ -49,6 +49,15 @@ def test_entropy_pure_state_is_zero():
     assert abs(entropy(psi @ psi.conj().T)) < 1e-10
 
 
+def test_entropy_of_ket_is_zero():
+    psi = rand_ket(6, default_rng(8))
+    assert entropy(psi) == 0.0
+    assert entropy(psi.ravel()) == 0.0
+    with pytest.raises(QuantumError) as ei:
+        entropy(2 * psi)
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+
+
 def test_entropy_maximally_mixed_qubit():
     assert abs(entropy(np.eye(2) / 2) - 1.0) < 1e-10
 
@@ -122,6 +131,16 @@ def test_qmutualinfo_overlapping_sets_rejected():
     with pytest.raises(QuantumError) as ei:
         qmutualinfo(rho, [0], [0], [2, 2])
     assert ei.value.kind is ErrorKind.SUBSYS_MISMATCH_DIMS
+
+
+def test_qmutualinfo_of_ket_matches_its_projector():
+    rng = default_rng(9)
+    dims = [2, 3, 2]
+    psi = rand_ket(12, rng)
+    proj = psi @ psi.conj().T
+    for A, B in (([0], [2]), ([1], [0, 2]), ([2, 0], [1])):
+        assert abs(qmutualinfo(psi, A, B, dims) - qmutualinfo(proj, A, B, dims)) < 1e-9
+    assert abs(qmutualinfo(bell00(), [0], [1], [2, 2]) - 2.0) < 1e-9
 
 
 def test_qmutualinfo_multi_index_groups():

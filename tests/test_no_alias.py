@@ -31,6 +31,8 @@ U4 = _ro(q.rand_unitary(4, _rng))
 U12 = _ro(q.rand_unitary(12, _rng))
 I3 = _ro(np.eye(3))
 KRAUS = [_ro(K) for K in rand_cptp(2, 2, _rng)]
+KRAUS12 = [_ro(K) for K in rand_cptp(12, 2, _rng)]
+RHO24 = _ro(q.rand_rho(24, _rng))
 CHOI = _ro(q.kraus2choi(KRAUS))
 VEC = _ro(q.vec(RHO))
 
@@ -42,7 +44,10 @@ CASES = {
     "apply_flat_ket": (q.apply, KET.reshape(-1), U2, [0], DIMS),
     "apply_ctrl_ket": (q.apply_ctrl, KET, U2, [0], [2], DIMS),
     "apply_ctrl_rho": (q.apply_ctrl, RHO, U2, [2], [0], DIMS),
+    "apply_ctrl_rho_multi": (q.apply_ctrl, RHO24, U2, [0, 2], [3], [2, 3, 2, 2]),
+    "apply_ctrl_rho_one_pass": (q.apply_ctrl, RHO24, U2, [3], [0], [2, 3, 2, 2]),
     "apply_channel": (q.apply_channel, RHO, KRAUS, [0], DIMS),
+    "apply_channel_kraus_route": (q.apply_channel, RHO, KRAUS12, [0, 1, 2], DIMS),
     "measure_ket": (q.measure, KET, U2, [2], DIMS, q.default_rng(0)),
     "measure_ket_all": (q.measure, KET, U12, [0, 1, 2], DIMS, q.default_rng(0)),
     "measure_rho": (q.measure, RHO, U3, [1], DIMS, q.default_rng(0)),
@@ -72,6 +77,9 @@ CASES = {
     "hevals": (q.hevals, RHO),
     "hevects": (q.hevects, RHO),
     "entropy": (q.entropy, RHO),
+    "entropy_ket": (q.entropy, KET),
+    "ptrace_ket": (q.ptrace, KET, [0, 2], DIMS),
+    "qmutualinfo_ket": (q.qmutualinfo, KET, [0], [2], DIMS),
     "qmutualinfo": (q.qmutualinfo, RHO, [0], [2], DIMS),
     "shannon": (q.shannon, _ro([0.25, 0.75], dtype=float)),
     "format_matrix": (q.format_matrix, U2),

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import prod, sqrt
 
@@ -33,8 +34,11 @@ from quditsim import (
     vec,
 )
 
+from quditsim.operations import _one_pass
+
 from _oracles import (
     channel_on_basis,
+    embed_ctrl,
     embed_operator,
     rand_cptp,
     ref_ctrl_gate,
@@ -269,6 +273,59 @@ def test_apply_channel_errors():
     assert ei.value.kind is ErrorKind.DIMS_MISMATCH_MATRIX
 
 
+def _crand(shape, rng):
+    """Complex Gaussian matrix: neither Hermitian nor real, so a kernel that
+    swaps kron(K, conj K) for kron(conj K, K) or drops a conjugate fails."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# dims, subsys, number of Kraus operators, whether the superoperator pass runs
+CHANNEL_ROUTES = [
+    ([2, 3, 2], [2], 2, True),  # d_sub 2, r 2
+    ([2, 3, 2], [1], 3, True),  # d_sub 3, r 3
+    ([2, 3, 2, 2], [3, 0], 1, True),  # d_sub 4, r 1
+    ([2, 3, 2], [2, 0, 1], 2, False),  # every subsystem: d_sub^2 > D
+    ([2] * 8, [5, 0, 3, 7], 1, False),  # d_sub 16 > 4 r
+]
+
+
+@pytest.mark.parametrize("dims, subsys, r, one_pass", CHANNEL_ROUTES)
+def test_channel_routes_match_embedding(dims, subsys, r, one_pass):
+    rng = np.random.default_rng(prod(dims) + r)
+    D, dsub = prod(dims), prod(dims[k] for k in subsys)
+    assert _one_pass(dsub, r, D) is one_pass
+    rho = _crand((D, D), rng)
+    Ks = [_crand((dsub, dsub), rng) for _ in range(r)]
+    Os = [embed_operator(K, subsys, dims) for K in Ks]
+    expected = sum(O @ rho @ O.conj().T for O in Os)
+    scale = np.abs(expected).max()
+    assert np.abs(apply_channel(rho, Ks, subsys, dims) - expected).max() < 1e-12 * scale
+    if r == 1:
+        assert np.abs(apply(rho, Ks[0], subsys, dims) - expected).max() < 1e-12 * scale
+
+
+# dims, ctrl, target, whether the controlled gate is built locally for one pass
+CTRL_ROUTES = [
+    ([2, 3, 2, 2], [3], [0], True),  # qubit control and target, 4^2 <= 24
+    ([2, 3, 2, 2], [0, 2], [3], False),  # two controls: ctrl + target side 8 > 4
+    ([3, 2, 3], [2], [1], False),  # qutrit control
+    ([2, 2, 3], [1], [0], False),  # side 4, but 4^2 > 12
+]
+
+
+@pytest.mark.parametrize("dims, ctrl, target, one_pass", CTRL_ROUTES)
+def test_apply_ctrl_rho_routes_match_embedding(dims, ctrl, target, one_pass):
+    rng = np.random.default_rng(prod(dims) + len(ctrl))
+    D, d = prod(dims), dims[ctrl[0]]
+    assert _one_pass(prod(dims[k] for k in ctrl + target), 1, D) is one_pass
+    rho = _crand((D, D), rng)
+    U = _crand((prod(dims[k] for k in target),) * 2, rng)
+    G = embed_ctrl(U, ctrl, target, dims, d)
+    expected = G @ rho @ G.conj().T
+    got = apply_ctrl(rho, U, ctrl, target, dims)
+    assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+
+
 # ------------------------------------------------- representation changes
 
 
@@ -350,6 +407,18 @@ def test_choi_roundtrip_preserves_channel_action():
             assert np.abs(kraus2choi(Ks2) - kraus2choi(Ks)).max() < 1e-9
 
 
+@pytest.mark.parametrize("c", [1e-13, 1.0, 1e6])
+def test_choi2kraus_cutoff_scales_with_the_choi_matrix(c):
+    # rank 2 on a 4-dimensional Choi space: two zero eigenvalues to drop
+    J = c * kraus2choi(rand_cptp(2, 2, default_rng(20)))
+    Ks = choi2kraus(J)
+    assert len(Ks) == 2
+    assert np.abs(kraus2choi(Ks) - J).max() < 1e-10 * c
+    with pytest.raises(QuantumError) as ei:
+        choi2kraus(c * np.diag([1.0, 1, 1, -1]))
+    assert ei.value.kind is ErrorKind.DIMS_INVALID  # not PSD at any scale
+
+
 def test_choi2kraus_errors():
     with pytest.raises(QuantumError) as ei:
         choi2kraus(np.eye(3))
@@ -404,6 +473,31 @@ def test_ptrace_empty_subsys_is_identity_map():
 def test_ptrace_promotes_kets():
     out = ptrace(bell00(), [1], [2, 2])
     assert np.abs(out - np.eye(2) / 2).max() < 1e-15
+
+
+def test_ptrace_of_ket_matches_reference_on_mixed_dims():
+    rng = default_rng(22)
+    dims = [2, 3, 2]
+    psi = rand_ket(12, rng)
+    proj = psi @ psi.conj().T
+    for subsys in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2], [2, 0], [0, 1, 2]):
+        want = ref_ptrace(proj, subsys, dims)
+        assert np.abs(ptrace(psi, subsys, dims) - want).max() < 1e-12
+
+
+def test_ptrace_of_ket_never_forms_the_projector():
+    n = 11
+    psi = rand_ket(2**n, default_rng(23))
+    subsys = list(range(1, n))
+    tracemalloc.start()
+    try:
+        out = ptrace(psi, subsys, [2] * n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 2048 x 2048 projector alone is 64 MiB
+    want = ref_ptrace(psi @ psi.conj().T, subsys, [2] * n)
+    assert np.abs(out - want).max() < 1e-12
 
 
 def test_ptrace_matches_reference_on_mixed_dims():

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import embed_operator, rand_cptp, ref_ptrace
+from _oracles import embed_ctrl, embed_operator, rand_cptp, ref_ptrace
 from quditsim import (
     apply,
     apply_channel,
@@ -82,16 +82,7 @@ def test_apply_ctrl_matches_embedding(setup, seed):
     rng = default_rng(seed)
     psi, rho = _states(dims, rng)
     U = rand_unitary(prod(dims[k] for k in target), rng)
-    # I + sum_j P_j (U^j - I), P_j the projector on "every control reads j"
-    D = prod(dims)
-    G = np.eye(D, dtype=complex)
-    Uj = np.eye(U.shape[0], dtype=complex)
-    for j in range(1, d):
-        Uj = Uj @ U
-        ket_j = np.zeros((d ** len(ctrl), 1))
-        ket_j[sum(j * d**p for p in range(len(ctrl)))] = 1.0
-        P = embed_operator(ket_j @ ket_j.T, ctrl, dims)
-        G += P @ (embed_operator(Uj, target, dims) - np.eye(D))
+    G = embed_ctrl(U, ctrl, target, dims, d)
     assert np.abs(apply_ctrl(psi, U, ctrl, target, dims) - G @ psi).max() < TOL
     assert np.abs(apply_ctrl(rho, U, ctrl, target, dims) - G @ rho @ G.conj().T).max() < TOL
 
