@@ -15,7 +15,7 @@ import numpy as np
 from ._checks import as_matrix, as_state, check_dims, check_nonzero, check_square
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
-from .operations import _conjugate, _contract, _targets
+from .operations import _targets
 from .randomness import thread_rng
 
 
@@ -80,22 +80,18 @@ def measure(
 
     n = len(ds)
     rest = D // Dsub
+    order = ss + [k for k in range(n) if k not in ss]
     if is_ket:
-        # Moving the measured axes back to the front undoes the kernel's own
-        # move, so the reshape is free: row i is the unnormalized outcome-i ket.
-        phi = np.moveaxis(_contract(M.reshape(ds), Bh, ss), ss, list(range(len(ss))))
-        blocks = list(phi.reshape(Dsub, rest, 1))
+        # One copy puts the measured axes first, one gemm applies B^dag:
+        # row i is the unnormalized outcome-i ket. The copy is freed at once.
+        blocks = list((Bh @ M.reshape(ds).transpose(order).reshape(Dsub, rest))[:, :, None])
         probs = [np.vdot(b, b).real for b in blocks]
     else:
-        # B^dag on the rows and B^T on the columns; outcome i is the diagonal
-        # block where every measured row and column digit equals i's.
-        t = _conjugate(M.reshape(ds + ds), Bh, ss)
-        blocks = []
-        for idx in np.ndindex(*(ds[k] for k in ss)):
-            sl: list = [slice(None)] * (2 * n)
-            for k, j in zip(ss, idx):
-                sl[k] = sl[n + k] = j
-            blocks.append(t[tuple(sl)].reshape(rest, rest))
+        # The same copy and gemm on the rows; outcome i's diagonal block then
+        # needs only row i of B^dag, conjugated, on the columns.
+        X = M.reshape(ds + ds).transpose(order + [n + k for k in order])
+        Y = (Bh @ X.reshape(Dsub, -1)).reshape(Dsub, rest, Dsub, rest)
+        blocks = list(np.einsum("irjs,ij->irs", Y, Bh.conj()))
         probs = [max(float(np.trace(b).real), 0.0) for b in blocks]
 
     states: list[np.ndarray] = []

@@ -31,6 +31,17 @@ from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 
 
+# Working set of one block of the tensordot path, in elements: 512 KiB of
+# complex128. Its blocks hold half of this, so tensordot's transposed copy
+# and product of a block, with the block and its output, fit a 2 MiB L2.
+_BLOCK = 1 << 15
+# numpy's batched matmul pays per batch item, so when the targets' side k
+# times the free side R after them is at most this and the batch is
+# longer, one gemm with the gate widened to kron(G, I_R) is cheaper
+# despite its R-fold arithmetic.
+_WIDEN = 32
+
+
 def _contract(
     t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = (), d: int = 2
 ) -> np.ndarray:
@@ -38,23 +49,120 @@ def _contract(
 
     With ``ctrl`` set, G^j acts only on the slice where every control axis
     (each of dimension d) equals j, and every other slice is copied as is.
-    Never writes t; the result shares no memory with it.
+    Never writes t; the result is its one allocation of t's size and shares
+    no memory with t. Targets on adjacent axes with every control before
+    them take one matmul; any other layout runs tensordot block by block.
+    """
+    out = np.empty_like(t, order="C")
+    axes, ctrl = list(axes), list(ctrl)
+    lo, s = min(axes), len(axes)
+    R = prod(t.shape[lo + s :])
+    # a controlled gate with a short run R after its targets is not
+    # widened (that would spend R-fold arithmetic on the identity sectors
+    # too): it takes the blocked path
+    run = (
+        sorted(axes) == list(range(lo, lo + s))
+        and all(c < lo for c in ctrl)
+        and (not ctrl or R == 1 or G.shape[0] * R > _WIDEN)
+    )
+    if run and axes != sorted(axes):
+        # G on the same axes, its factors reordered to ascending axis order
+        order = sorted(range(s), key=axes.__getitem__)
+        dsub = [t.shape[a] for a in axes]
+        G = G.reshape(dsub + dsub).transpose(order + [s + o for o in order]).reshape(G.shape)
+    Gs = [None, G]
+    while ctrl and len(Gs) < d:
+        Gs.append(Gs[-1] @ G)
+    if run:
+        _run_into(out, t, Gs, lo, lo + s, sorted(ctrl))
+    else:
+        _blocked_into(out, t, Gs, axes, ctrl, range(1, d) if ctrl else (1,))
+    return out
+
+
+def _run_into(
+    y: np.ndarray, x: np.ndarray, Gs: list, lo: int, hi: int, ctrl: list[int]
+) -> None:
+    """Gs[1] on the axes lo..hi-1 of x, written into y by one matmul.
+
+    Every control lies before lo and becomes a batch axis of a table of
+    gates: Gs[j] where all controls read j, the identity elsewhere.
+    """
+    k = Gs[1].shape[0]
+    # the axes before the targets: each control alone, each stretch of
+    # free axes between them merged into one
+    pre, tab, pos = [], [], 0
+    for c in ctrl + [lo]:
+        if c > pos:
+            pre.append(prod(x.shape[pos:c]))
+            tab.append(1)
+        if c < lo:
+            pre.append(x.shape[c])
+            tab.append(x.shape[c])
+        pos = c + 1
+    if ctrl:
+        G = np.empty(tab + [k, k], dtype=Gs[1].dtype)
+        G[...] = np.eye(k)
+        for j in range(1, len(Gs)):
+            G[tuple(j if n > 1 else 0 for n in tab)] = Gs[j]
+    else:
+        G = Gs[1].reshape(tab + [k, k])
+    R = prod(x.shape[hi:])
+    if 1 < R and k * R <= _WIDEN < prod(pre):
+        G = (G[..., :, None, :, None] * np.eye(R)[:, None, :]).reshape(tab + [k * R] * 2)
+        k, R = k * R, 1
+    if R > 1:
+        shape = pre + [k, R]
+        np.matmul(G, x.reshape(shape), out=y.reshape(shape))
+        return
+    # targets last: the rows are the largest stretch of free axes before them
+    if 1 not in tab:
+        pre.append(1)
+        tab.append(1)
+        G = G[..., None, :, :]
+    m = max(range(len(pre)), key=lambda i: pre[i] if tab[i] == 1 else 0)
+    last = len(pre) - 1
+    xv, yv, GT = x.reshape(pre + [k]), y.reshape(pre + [k]), G.swapaxes(-1, -2)
+    if m != last:
+        xv, yv, GT = xv.swapaxes(m, last), yv.swapaxes(m, last), GT.swapaxes(m, last)
+    np.matmul(xv, GT[..., 0, :, :], out=yv)
+
+
+def _blocked_into(
+    y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[int], js
+) -> None:
+    """Gs[j] on ``axes`` of x where every control axis reads j in js, else a
+    copy, written into y block by block.
+
+    Splits on the controls, then on the first non-target axis while x holds
+    more than half a block, so no control is left inside a tensordot and
+    each one works on at most _BLOCK // 2 elements (unless every axis is a
+    target).
     """
     if ctrl:
-        out = t.copy()
-        # fixing the control axes removes them, shifting later axes down
-        shifted = [a - sum(c < a for c in ctrl) for a in axes]
-        Gj = G
-        for j in range(1, d):
-            sl = tuple(j if k in ctrl else slice(None) for k in range(t.ndim))
-            out[sl] = _contract(t[sl], Gj, shifted)
-            if j + 1 < d:
-                Gj = Gj @ G
-        return out
-    s = len(axes)
-    dsub = [t.shape[a] for a in axes]
-    out = np.tensordot(G.reshape(dsub + dsub), t, axes=(list(range(s, 2 * s)), list(axes)))
-    return np.moveaxis(out, list(range(s)), list(axes))
+        a = ctrl[0]
+    elif x.size > _BLOCK // 2 and len(axes) < x.ndim:
+        a = next(b for b in range(x.ndim) if b not in axes)
+    else:
+        s = len(axes)
+        dsub = [x.shape[a] for a in axes]
+        G = Gs[js[0]].reshape(dsub + dsub)
+        # tensordot puts the targets first and the other axes after them
+        rest = iter(range(s, x.ndim))
+        perm = [axes.index(b) if b in axes else next(rest) for b in range(x.ndim)]
+        y[...] = np.tensordot(G, x, (list(range(s, 2 * s)), axes)).transpose(perm)
+        return
+    sub_axes = [b - (b > a) for b in axes]
+    sub_ctrl = [c - (c > a) for c in ctrl if c != a]
+    head = (slice(None),) * a
+    for i in range(x.shape[a]):
+        sl = head + (i,)
+        if a not in ctrl:
+            _blocked_into(y[sl], x[sl], Gs, sub_axes, sub_ctrl, js)
+        elif i in js:
+            _blocked_into(y[sl], x[sl], Gs, sub_axes, sub_ctrl, (i,))
+        else:
+            y[sl] = x[sl]
 
 
 def _conjugate(
@@ -320,21 +428,26 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
 def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Transpose only the listed subsystems' indices; involution.
 
-    Kets are promoted to their projectors.
+    Kets are promoted to their projectors, written once in the transposed
+    layout.
     """
     op = "ptranspose"
     ds = check_dims(dims, op)
     D = prod(ds)
     M, is_ket = as_state(rho, D, op)
-    if is_ket:
-        M = M @ M.conj().T
     ss = check_subsys(subsys, len(ds), op, allow_empty=True)
-    if not ss:
-        return M.copy()
     n = len(ds)
     axes = list(range(2 * n))
     for k in ss:
         axes[k], axes[n + k] = axes[n + k], axes[k]
+    if is_ket:
+        # psi on the row axes times conj(psi) on the column axes, each with
+        # the listed subsystems' row and column axes swapped
+        row = M.reshape(ds + [1] * n).transpose(axes)
+        col = M.conj().reshape([1] * n + ds).transpose(axes)
+        return np.multiply(row, col, order="C").reshape(D, D)
+    if not ss:
+        return M.copy()
     return M.reshape(ds + ds).transpose(axes).copy().reshape(D, D)
 
 

@@ -147,3 +147,23 @@ def ref_ctrl_gate(U, ctrl, target, n, d):
                 out[t] = digit
             K[lin(out), col] = Uj[tout, tin]
     return K
+
+
+def ref_contract(t, G, axes, ctrl=(), d=2):
+    """G on ``axes`` of tensor t (in that factor order) by one tensordot over
+    the whole tensor and a moveaxis; with ``ctrl``, G^j on the slice where
+    every control axis reads j, by recursion on that slice, and a copy of t
+    everywhere else."""
+    if ctrl:
+        out = np.array(t, dtype=complex)
+        shifted = [a - sum(c < a for c in ctrl) for a in axes]
+        Gj = np.asarray(G, dtype=complex)
+        for j in range(1, d):
+            sl = tuple(j if k in ctrl else slice(None) for k in range(t.ndim))
+            out[sl] = ref_contract(t[sl], Gj, shifted)
+            Gj = Gj @ G
+        return out
+    s = len(axes)
+    dsub = [t.shape[a] for a in axes]
+    out = np.tensordot(np.reshape(G, dsub + dsub), t, axes=(list(range(s, 2 * s)), list(axes)))
+    return np.moveaxis(out, list(range(s)), list(axes))

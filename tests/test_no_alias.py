@@ -34,6 +34,9 @@ KRAUS = [_ro(K) for K in rand_cptp(2, 2, _rng)]
 KRAUS12 = [_ro(K) for K in rand_cptp(12, 2, _rng)]
 RHO24 = _ro(q.rand_rho(24, _rng))
 CHOI = _ro(q.kraus2choi(KRAUS))
+# above one cache block of the kernel: 2^16 amplitudes, a 256 x 256 rho
+KET_BIG = _ro(q.rand_ket(2**16, _rng))
+RHO_BIG = _ro(q.rand_rho(2**8, _rng))
 VEC = _ro(q.vec(RHO))
 
 CASES = {
@@ -43,6 +46,8 @@ CASES = {
     "apply_identity_rho": (q.apply, RHO, I3, [1], DIMS),
     "apply_flat_ket": (q.apply, KET.reshape(-1), U2, [0], DIMS),
     "apply_ctrl_ket": (q.apply_ctrl, KET, U2, [0], [2], DIMS),
+    "apply_ket_above_block": (q.apply, KET_BIG, U4, [12, 3], [2] * 16),
+    "apply_ctrl_rho_above_block": (q.apply_ctrl, RHO_BIG, U2, [6, 1], [4], [2] * 8),
     "apply_ctrl_rho": (q.apply_ctrl, RHO, U2, [2], [0], DIMS),
     "apply_ctrl_rho_multi": (q.apply_ctrl, RHO24, U2, [0, 2], [3], [2, 3, 2, 2]),
     "apply_ctrl_rho_one_pass": (q.apply_ctrl, RHO24, U2, [3], [0], [2, 3, 2, 2]),

@@ -528,6 +528,30 @@ def test_ptranspose_diagonal_fixed():
     assert np.array_equal(ptranspose(d, [1], [2, 2]), d)
 
 
+def test_ptranspose_of_ket_matches_reference_on_mixed_dims():
+    rng = default_rng(24)
+    dims = [2, 3, 2]
+    psi = rand_ket(12, rng)
+    proj = psi @ psi.conj().T
+    for subsys in ([], [0], [1], [2], [0, 2], [2, 0], [0, 1, 2]):
+        want = ref_ptranspose(proj, subsys, dims)
+        assert np.abs(ptranspose(psi, subsys, dims) - want).max() < 1e-15
+
+
+def test_ptranspose_of_ket_writes_its_projector_once():
+    n = 10
+    psi = rand_ket(2**n, default_rng(25))
+    subsys = [1, 4, 7]
+    tracemalloc.start()
+    try:
+        out = ptranspose(psi, subsys, [2] * n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes  # a second D x D copy would double it
+    assert np.abs(out - ptranspose(psi @ psi.conj().T, subsys, [2] * n)).max() < 1e-15
+
+
 def test_ptranspose_involution_and_trace():
     rng = default_rng(21)
     dims = [2, 2, 3]
