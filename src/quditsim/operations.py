@@ -31,15 +31,13 @@ from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 
 
-# Working set of one block of the tensordot path, in elements: 512 KiB of
-# complex128. Its blocks hold half of this, so tensordot's transposed copy
-# and product of a block, with the block and its output, fit a 2 MiB L2.
-_BLOCK = 1 << 15
-# numpy's batched matmul pays per batch item, so when the targets' side k
-# times the free side R after them is at most this and the batch is
-# longer, one gemm with the gate widened to kron(G, I_R) is cheaper
-# despite its R-fold arithmetic.
-_WIDEN = 32
+# Elements in one block of the tensordot route: 256 KiB of complex128, so
+# tensordot's transposed copy and product of a block stay within 512 KiB.
+_BLOCK = 1 << 14
+# numpy's batched matmul pays per batch item, so a run whose targets' side
+# k times the free side R after them is at most this takes the blocked
+# route instead.
+_SHORT = 32
 
 
 def _contract(
@@ -51,19 +49,17 @@ def _contract(
     (each of dimension d) equals j, and every other slice is copied as is.
     Never writes t; the result is its one allocation of t's size and shares
     no memory with t. Targets on adjacent axes with every control before
-    them take one matmul; any other layout runs tensordot block by block.
+    them take one matmul, unless a short run follows them or a controlled
+    run ends the tensor; any other layout runs tensordot block by block.
     """
     out = np.empty_like(t, order="C")
     axes, ctrl = list(axes), list(ctrl)
     lo, s = min(axes), len(axes)
     R = prod(t.shape[lo + s :])
-    # a controlled gate with a short run R after its targets is not
-    # widened (that would spend R-fold arithmetic on the identity sectors
-    # too): it takes the blocked path
     run = (
         sorted(axes) == list(range(lo, lo + s))
         and all(c < lo for c in ctrl)
-        and (not ctrl or R == 1 or G.shape[0] * R > _WIDEN)
+        and (G.shape[0] * R > _SHORT if R > 1 else not ctrl)
     )
     if run and axes != sorted(axes):
         # G on the same axes, its factors reordered to ascending axis order
@@ -74,21 +70,23 @@ def _contract(
     while ctrl and len(Gs) < d:
         Gs.append(Gs[-1] @ G)
     if run:
-        _run_into(out, t, Gs, lo, lo + s, sorted(ctrl))
+        _run_into(out, t, Gs, lo, R, sorted(ctrl))
     else:
         _blocked_into(out, t, Gs, axes, ctrl, range(1, d) if ctrl else (1,))
     return out
 
 
-def _run_into(
-    y: np.ndarray, x: np.ndarray, Gs: list, lo: int, hi: int, ctrl: list[int]
-) -> None:
-    """Gs[1] on the axes lo..hi-1 of x, written into y by one matmul.
+def _run_into(y: np.ndarray, x: np.ndarray, Gs: list, lo: int, R: int, ctrl: list[int]) -> None:
+    """Gs[1] on the target run that starts at axis lo of x, with R elements
+    after it, written into y by one matmul.
 
     Every control lies before lo and becomes a batch axis of a table of
     gates: Gs[j] where all controls read j, the identity elsewhere.
     """
     k = Gs[1].shape[0]
+    if R == 1:
+        np.matmul(x.reshape(-1, k), Gs[1].T, out=y.reshape(-1, k))
+        return
     # the axes before the targets: each control alone, each stretch of
     # free axes between them merged into one
     pre, tab, pos = [], [], 0
@@ -106,26 +104,9 @@ def _run_into(
         for j in range(1, len(Gs)):
             G[tuple(j if n > 1 else 0 for n in tab)] = Gs[j]
     else:
-        G = Gs[1].reshape(tab + [k, k])
-    R = prod(x.shape[hi:])
-    if 1 < R and k * R <= _WIDEN < prod(pre):
-        G = (G[..., :, None, :, None] * np.eye(R)[:, None, :]).reshape(tab + [k * R] * 2)
-        k, R = k * R, 1
-    if R > 1:
-        shape = pre + [k, R]
-        np.matmul(G, x.reshape(shape), out=y.reshape(shape))
-        return
-    # targets last: the rows are the largest stretch of free axes before them
-    if 1 not in tab:
-        pre.append(1)
-        tab.append(1)
-        G = G[..., None, :, :]
-    m = max(range(len(pre)), key=lambda i: pre[i] if tab[i] == 1 else 0)
-    last = len(pre) - 1
-    xv, yv, GT = x.reshape(pre + [k]), y.reshape(pre + [k]), G.swapaxes(-1, -2)
-    if m != last:
-        xv, yv, GT = xv.swapaxes(m, last), yv.swapaxes(m, last), GT.swapaxes(m, last)
-    np.matmul(xv, GT[..., 0, :, :], out=yv)
+        G = Gs[1]
+    shape = pre + [k, R]
+    np.matmul(G, x.reshape(shape), out=y.reshape(shape))
 
 
 def _blocked_into(
@@ -135,13 +116,12 @@ def _blocked_into(
     copy, written into y block by block.
 
     Splits on the controls, then on the first non-target axis while x holds
-    more than half a block, so no control is left inside a tensordot and
-    each one works on at most _BLOCK // 2 elements (unless every axis is a
-    target).
+    more than a block, so no control is left inside a tensordot and each
+    one works on at most _BLOCK elements (unless every axis is a target).
     """
     if ctrl:
         a = ctrl[0]
-    elif x.size > _BLOCK // 2 and len(axes) < x.ndim:
+    elif x.size > _BLOCK and len(axes) < x.ndim:
         a = next(b for b in range(x.ndim) if b not in axes)
     else:
         s = len(axes)

@@ -2,8 +2,8 @@
 
 The property tests stay at or below 2^14 entries, one block of the
 kernel; here every state is larger, so the block loop, the control
-splits and the matmul layouts (target run last, short run after the
-targets, controls as batch axes) all run. Each result is checked against
+splits, the short runs after the targets that the block loop takes, and
+the matmul layouts (target run last, controls as batch axes) all run. Each result is checked against
 ``ref_contract``, one tensordot over the whole tensor.
 """
 
