@@ -14,10 +14,11 @@ import numpy as np
 
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
+from .indexing import _dims_info
 
 
 def as_matrix(A, op: str) -> np.ndarray:
-    """Coerce to a 2-D complex128 array; 1-D input becomes a column.
+    """Coerce to a nonempty 2-D complex128 array; 1-D input becomes a column.
 
     A complex128 input is returned as is or as a view, so callers must
     neither write the result nor return it without a copy.
@@ -27,6 +28,8 @@ def as_matrix(A, op: str) -> np.ndarray:
         M = M.reshape(-1, 1)
     if M.ndim != 2:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, f"expected a matrix, got ndim={M.ndim}")
+    if M.size == 0:
+        raise QuantumError(ErrorKind.ZERO_SIZE, op)
     return M
 
 
@@ -48,11 +51,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_nonzero(M: np.ndarray, op: str) -> None:
-    if M.size == 0:
-        raise QuantumError(ErrorKind.ZERO_SIZE, op)
-
-
 def check_square(M: np.ndarray, op: str) -> None:
     if M.shape[0] != M.shape[1]:
         raise QuantumError(ErrorKind.MATRIX_NOT_SQUARE, op, f"shape {M.shape}")
@@ -60,8 +58,6 @@ def check_square(M: np.ndarray, op: str) -> None:
 
 def check_dims(dims: Sequence[int], op: str) -> list[int]:
     """Validate a subsystem-dimension list: nonempty, entries >= 2, length <= MAXN."""
-    from .indexing import _dims_info
-
     try:
         ds, _ = _dims_info(tuple(dims))
     except QuantumError as err:
@@ -95,7 +91,6 @@ def check_subsys(subsys: Sequence[int], n: int, op: str, allow_empty: bool = Fal
 def as_state(state, D: int, op: str) -> tuple[np.ndarray, bool]:
     """Validate a ket (D x 1) or square matrix (D x D); returns (array, is_ket)."""
     M = as_matrix(state, op)
-    check_nonzero(M, op)
     if M.shape == (D, 1):
         return M, True
     if M.shape == (D, D):

@@ -11,13 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_matrix, check_dims_match, check_nonzero, check_square, check_subsys
+from ._checks import as_matrix, check_dims_match, check_square, check_subsys
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 from .linalg import _hermitian_input
 from .operations import ptrace
 
-# How far a trace (or a ket's squared norm) may stray from 1.
+# How far a trace, a ket's squared norm or a probability sum may stray from 1.
 _TRACE_TOL = 1e-6
 
 
@@ -28,7 +28,7 @@ def shannon(probs: Sequence[float]) -> float:
         raise QuantumError(ErrorKind.ZERO_SIZE, "shannon")
     if p.min() < -EPS:
         raise QuantumError(ErrorKind.OUT_OF_RANGE, "shannon", "negative probability")
-    if abs(p.sum() - 1.0) > 1e-6:
+    if abs(p.sum() - 1.0) > _TRACE_TOL:
         raise QuantumError(ErrorKind.OUT_OF_RANGE, "shannon", f"probabilities sum to {p.sum()}")
     return float(-sum(x * log2(x) for x in p if x > EPS))
 
@@ -37,7 +37,6 @@ def entropy(rho) -> float:
     """Von Neumann entropy of a density matrix, in bits; 0 for a ket."""
     op = "entropy"
     M = as_matrix(rho, op)
-    check_nonzero(M, op)
     if M.shape[0] > 1 and M.shape[1] == 1:
         if abs(np.vdot(M, M).real - 1.0) > _TRACE_TOL:
             raise QuantumError(ErrorKind.DIMS_INVALID, op, "ket norm is not 1")
@@ -59,7 +58,6 @@ def qmutualinfo(rho, A: Sequence[int], B: Sequence[int], dims: Sequence[int]) ->
     """
     op = "qmutualinfo"
     M = as_matrix(rho, op)
-    check_nonzero(M, op)
     if M.shape[1] != 1:
         check_square(M, op)
     ds = check_dims_match(dims, M.shape[0], op)

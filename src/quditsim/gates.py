@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, as_matrix, check_nonzero, check_square, check_subsys
+from ._checks import _frozen, as_matrix, check_square, check_subsys
 from .constants import omega
 from .exceptions import ErrorKind, QuantumError
 from .operations import _contract
@@ -76,7 +76,6 @@ def ctrl_gate(
         The (d**n) x (d**n) controlled unitary.
     """
     M = as_matrix(U, "ctrl_gate")
-    check_nonzero(M, "ctrl_gate")
     check_square(M, "ctrl_gate")
     d = _check_qudit_dim(d, "ctrl_gate")
     n = int(n)

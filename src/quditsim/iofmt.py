@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._checks import as_matrix, check_nonzero
+from ._checks import as_matrix
 from .constants import CHOP
 from .exceptions import ErrorKind, QuantumError
 
@@ -94,7 +94,6 @@ def format_sequence(xs: Iterable, delimiter: str = " ", precision: int = 4, chop
 def save(A, sink) -> None:
     """Write a matrix to a binary stream or path in the QSIM format."""
     M = as_matrix(A, "save")
-    check_nonzero(M, "save")
     header = _HEADER.pack(MAGIC, VERSION, M.shape[0], M.shape[1])
     payload = np.ascontiguousarray(M, dtype="<c16").tobytes()
     if isinstance(sink, (str, Path)):

@@ -10,28 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import as_matrix, check_nonzero, check_square, hermitian_part
+from ._checks import as_matrix, check_square, hermitian_part
 from .exceptions import ErrorKind, QuantumError
 
 
 def transpose(A) -> np.ndarray:
     """Matrix transpose."""
     M = as_matrix(A, "transpose")
-    check_nonzero(M, "transpose")
     return M.T.copy()
 
 
 def adjoint(A) -> np.ndarray:
     """Conjugate transpose."""
     M = as_matrix(A, "adjoint")
-    check_nonzero(M, "adjoint")
     return M.conj().T.copy()
 
 
 def trace(A) -> complex:
     """Sum of diagonal entries of a square matrix."""
     M = as_matrix(A, "trace")
-    check_nonzero(M, "trace")
     check_square(M, "trace")
     return complex(np.trace(M))
 
@@ -39,7 +36,6 @@ def trace(A) -> complex:
 def norm(A) -> float:
     """Frobenius norm; coincides with the Euclidean norm on kets."""
     M = as_matrix(A, "norm")
-    check_nonzero(M, "norm")
     return float(np.linalg.norm(M))
 
 
@@ -47,15 +43,12 @@ def kron(A, B) -> np.ndarray:
     """Kronecker (tensor) product."""
     MA = as_matrix(A, "kron")
     MB = as_matrix(B, "kron")
-    check_nonzero(MA, "kron")
-    check_nonzero(MB, "kron")
     return np.kron(MA, MB)
 
 
 def kron_pow(A, n: int) -> np.ndarray:
     """n-fold Kronecker power A (x) A (x) ... (n >= 1 factors)."""
     M = as_matrix(A, "kron_pow")
-    check_nonzero(M, "kron_pow")
     n = int(n)
     if n < 1:
         raise QuantumError(ErrorKind.OUT_OF_RANGE, "kron_pow", f"n={n}")
@@ -67,7 +60,6 @@ def kron_pow(A, n: int) -> np.ndarray:
 
 def _hermitian_input(A, op: str) -> np.ndarray:
     M = as_matrix(A, op)
-    check_nonzero(M, op)
     check_square(M, op)
     # symmetrize to stabilize roundoff before the decomposition
     return hermitian_part(M, op)

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import as_matrix, as_state, check_dims, check_nonzero, check_square
+from ._checks import as_matrix, as_state, check_dims, check_square
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 from .operations import _targets
@@ -68,7 +68,6 @@ def measure(
     D = prod(ds)
     M, is_ket = as_state(state, D, op)
     B = as_matrix(basis, op)
-    check_nonzero(B, op)
     check_square(B, op)
     ss = _targets(op, B.shape[0], subsys, ds, "basis", "measured")
     Dsub = B.shape[0]

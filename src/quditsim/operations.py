@@ -22,7 +22,6 @@ from ._checks import (
     as_matrix,
     as_state,
     check_dims,
-    check_nonzero,
     check_square,
     check_subsys,
     hermitian_part,
@@ -48,101 +47,82 @@ def _contract(
     With ``ctrl`` set, G^j acts only on the slice where every control axis
     (each of dimension d) equals j, and every other slice is copied as is.
     Never writes t; the result is its one allocation of t's size and shares
-    no memory with t. Targets on adjacent axes with every control before
-    them take one matmul, unless a short run follows them or a controlled
-    run ends the tensor; any other layout runs tensordot block by block.
+    no memory with t. The controls are split off first, one sector at a
+    time; each sector's targets then take one matmul when they are
+    adjacent and the output's layout lets it be written in place, and run
+    tensordot block by block otherwise.
     """
     out = np.empty_like(t, order="C")
-    axes, ctrl = list(axes), list(ctrl)
-    lo, s = min(axes), len(axes)
-    R = prod(t.shape[lo + s :])
-    run = (
-        sorted(axes) == list(range(lo, lo + s))
-        and all(c < lo for c in ctrl)
-        and (G.shape[0] * R > _SHORT if R > 1 else not ctrl)
-    )
-    if run and axes != sorted(axes):
+    axes = list(axes)
+    s = len(axes)
+    order = sorted(range(s), key=axes.__getitem__)
+    if order != list(range(s)):
         # G on the same axes, its factors reordered to ascending axis order
-        order = sorted(range(s), key=axes.__getitem__)
         dsub = [t.shape[a] for a in axes]
         G = G.reshape(dsub + dsub).transpose(order + [s + o for o in order]).reshape(G.shape)
+        axes.sort()
     Gs = [None, G]
     while ctrl and len(Gs) < d:
         Gs.append(Gs[-1] @ G)
-    if run:
-        _run_into(out, t, Gs, lo, R, sorted(ctrl))
-    else:
-        _blocked_into(out, t, Gs, axes, ctrl, range(1, d) if ctrl else (1,))
+    _into(out, t, Gs, axes, sorted(ctrl), range(1, d) if ctrl else (1,))
     return out
 
 
-def _run_into(y: np.ndarray, x: np.ndarray, Gs: list, lo: int, R: int, ctrl: list[int]) -> None:
-    """Gs[1] on the target run that starts at axis lo of x, with R elements
-    after it, written into y by one matmul.
-
-    Every control lies before lo and becomes a batch axis of a table of
-    gates: Gs[j] where all controls read j, the identity elsewhere.
-    """
-    k = Gs[1].shape[0]
-    if R == 1:
-        np.matmul(x.reshape(-1, k), Gs[1].T, out=y.reshape(-1, k))
-        return
-    # the axes before the targets: each control alone, each stretch of
-    # free axes between them merged into one
-    pre, tab, pos = [], [], 0
-    for c in ctrl + [lo]:
-        if c > pos:
-            pre.append(prod(x.shape[pos:c]))
-            tab.append(1)
-        if c < lo:
-            pre.append(x.shape[c])
-            tab.append(x.shape[c])
-        pos = c + 1
-    if ctrl:
-        G = np.empty(tab + [k, k], dtype=Gs[1].dtype)
-        G[...] = np.eye(k)
-        for j in range(1, len(Gs)):
-            G[tuple(j if n > 1 else 0 for n in tab)] = Gs[j]
-    else:
-        G = Gs[1]
-    shape = pre + [k, R]
-    np.matmul(G, x.reshape(shape), out=y.reshape(shape))
-
-
-def _blocked_into(
-    y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[int], js
-) -> None:
+def _into(y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[int], js) -> None:
     """Gs[j] on ``axes`` of x where every control axis reads j in js, else a
-    copy, written into y block by block.
+    copy, written into y; ``axes`` and ``ctrl`` are ascending.
 
-    Splits on the controls, then on the first non-target axis while x holds
-    more than a block, so no control is left inside a tensordot and each
-    one works on at most _BLOCK elements (unless every axis is a target).
+    Splits on the first control: sectors whose digit is in js recurse with
+    that digit alone, the others are copied. Without controls, an adjacent
+    target run with R elements after it is one matmul written straight into
+    y when y's layout allows it; anything else goes to :func:`_blocked_into`.
     """
     if ctrl:
         a = ctrl[0]
-    elif x.size > _BLOCK and len(axes) < x.ndim:
-        a = next(b for b in range(x.ndim) if b not in axes)
-    else:
-        s = len(axes)
-        dsub = [x.shape[a] for a in axes]
-        G = Gs[js[0]].reshape(dsub + dsub)
-        # tensordot puts the targets first and the other axes after them
-        rest = iter(range(s, x.ndim))
-        perm = [axes.index(b) if b in axes else next(rest) for b in range(x.ndim)]
-        y[...] = np.tensordot(G, x, (list(range(s, 2 * s)), axes)).transpose(perm)
+        sub_axes = [b - (b > a) for b in axes]
+        sub_ctrl = [c - 1 for c in ctrl[1:]]
+        head = (slice(None),) * a
+        for i in range(x.shape[a]):
+            sl = head + (i,)
+            if i in js:
+                _into(y[sl], x[sl], Gs, sub_axes, sub_ctrl, (i,))
+            else:
+                y[sl] = x[sl]
         return
-    sub_axes = [b - (b > a) for b in axes]
-    sub_ctrl = [c - (c > a) for c in ctrl if c != a]
-    head = (slice(None),) * a
-    for i in range(x.shape[a]):
-        sl = head + (i,)
-        if a not in ctrl:
-            _blocked_into(y[sl], x[sl], Gs, sub_axes, sub_ctrl, js)
-        elif i in js:
-            _blocked_into(y[sl], x[sl], Gs, sub_axes, sub_ctrl, (i,))
-        else:
-            y[sl] = x[sl]
+    G = Gs[js[0]]
+    lo, s, k = axes[0], len(axes), G.shape[0]
+    R = prod(x.shape[lo + s :])
+    if axes[-1] == lo + s - 1:
+        if R == 1 and y.flags.c_contiguous:
+            np.matmul(x.reshape(-1, k), G.T, out=y.reshape(-1, k))
+            return
+        if k * R > _SHORT and y[(0,) * lo].flags.c_contiguous:
+            shape = x.shape[:lo] + (k, R)
+            np.matmul(G, x.reshape(shape), out=y.reshape(shape))
+            return
+    _blocked_into(y, x, G, axes)
+
+
+def _blocked_into(y: np.ndarray, x: np.ndarray, G: np.ndarray, axes: list[int]) -> None:
+    """G on ``axes`` of x, written into y block by block.
+
+    Splits on the first non-target axis while x holds more than a block, so
+    each tensordot works on at most _BLOCK elements (unless every axis is a
+    target).
+    """
+    if x.size > _BLOCK and len(axes) < x.ndim:
+        a = next(b for b in range(x.ndim) if b not in axes)
+        sub_axes = [b - (b > a) for b in axes]
+        head = (slice(None),) * a
+        for i in range(x.shape[a]):
+            _blocked_into(y[head + (i,)], x[head + (i,)], G, sub_axes)
+        return
+    s = len(axes)
+    dsub = [x.shape[a] for a in axes]
+    # tensordot puts the targets first and the other axes after them
+    rest = iter(range(s, x.ndim))
+    perm = [axes.index(b) if b in axes else next(rest) for b in range(x.ndim)]
+    y[...] = np.tensordot(G.reshape(dsub + dsub), x, (list(range(s, 2 * s)), axes)).transpose(perm)
 
 
 def _conjugate(
@@ -221,7 +201,6 @@ def _validated_targets(
     ds = check_dims(dims, op)
     M, _ = as_state(state, prod(ds), op)
     G = as_matrix(U, op)
-    check_nonzero(G, op)
     check_square(G, op)
     return M, G, _targets(op, G.shape[0], subsys, ds, "operator", of), ds
 
@@ -274,7 +253,6 @@ def _check_kraus(Ks, op: str) -> list[np.ndarray]:
     out = []
     for K in Ks:
         M = as_matrix(K, op)
-        check_nonzero(M, op)
         check_square(M, op)
         out.append(M)
     if any(K.shape != out[0].shape for K in out):
@@ -293,7 +271,6 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
     ds = check_dims(dims, op)
     D = prod(ds)
     M = as_matrix(rho, op)
-    check_nonzero(M, op)
     check_square(M, op)
     if M.shape[0] != D:
         raise QuantumError(
@@ -306,14 +283,12 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
 def vec(A) -> np.ndarray:
     """Column-stacking vectorization of a matrix, as a column vector."""
     M = as_matrix(A, "vec")
-    check_nonzero(M, "vec")
     return M.reshape(-1, 1, order="F").copy()
 
 
 def unvec(v, rows: int | None = None) -> np.ndarray:
     """Inverse of :func:`vec`; by default assumes a square target."""
     M = as_matrix(v, "unvec")
-    check_nonzero(M, "unvec")
     flat = M.reshape(-1, order="F")
     if rows is None:
         rows = int(round(len(flat) ** 0.5))
@@ -321,6 +296,8 @@ def unvec(v, rows: int | None = None) -> np.ndarray:
             raise QuantumError(
                 ErrorKind.DIMS_INVALID, "unvec", f"length {len(flat)} is not a perfect square"
             )
+    elif rows <= 0:
+        raise QuantumError(ErrorKind.OUT_OF_RANGE, "unvec", f"rows={rows}")
     cols, rem = divmod(len(flat), rows)
     if rem:
         raise QuantumError(ErrorKind.DIMS_INVALID, "unvec", f"length {len(flat)} not divisible")
@@ -363,7 +340,6 @@ def choi2kraus(J) -> list[np.ndarray]:
     """
     op = "choi2kraus"
     M = as_matrix(J, op)
-    check_nonzero(M, op)
     check_square(M, op)
     D = int(round(M.shape[0] ** 0.5))
     if D * D != M.shape[0]:
@@ -467,9 +443,7 @@ def syspermute(state, perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     M, is_ket = as_state(state, D, op)
     n = len(ds)
     # output axis j holds input axis invperm(p)[j]
-    src = [0] * n
-    for k, v in enumerate(p):
-        src[v] = k
+    src = invperm(p)
     if is_ket:
         return M.reshape(ds).transpose(src).copy().reshape(-1, 1)
     axes = src + [n + k for k in src]

@@ -1,10 +1,13 @@
 """The contraction kernel on states larger than one cache block.
 
 The property tests stay at or below 2^14 entries, one block of the
-kernel; here every state is larger, so the block loop, the control
-splits, the short runs after the targets that the block loop takes, and
-the matmul layouts (target run last, controls as batch axes) all run. Each result is checked against
-``ref_contract``, one tensordot over the whole tensor.
+kernel; here every state is larger, so every route runs: the control
+sector split (sectors where the controls read j get U^j, the others are
+copied), the block loop with its short runs after the targets, and the
+two matmul layouts an adjacent target run takes when the output's slice
+is contiguous (the run last, or the run followed by a longer tail). Each
+result is checked against ``ref_contract``, one tensordot over the whole
+tensor.
 """
 
 import tracemalloc
@@ -105,21 +108,35 @@ def test_density_matrix_above_one_block_matches_reference(ctrl, target):
     assert np.abs(apply_channel(rho, Ks, target, RHO_DIMS) - want).max() < TOL
 
 
-def test_apply_allocates_one_output():
-    n = 18
-    dims = [2] * n
+@pytest.mark.parametrize(
+    "dims, ctrl, target",
+    [
+        ([2] * 18, [], [14, 5]),  # non-adjacent qubits listed out of order
+        ([3, 3] + [2] * 14, [1], [5]),  # qutrit control before a target with a long tail
+        ([2] * 18, [14], [5]),  # control after the target
+    ],
+    ids=["pair", "ctrl_before", "ctrl_after"],
+)
+def test_apply_allocates_one_output(dims, ctrl, target):
     rng = default_rng(44)
-    psi = rand_ket(2**n, rng)
-    G = _gate(4, rng)
-    apply(psi, G, [14, 5], dims)  # first call: numpy's lazy set-up
+    psi = rand_ket(prod(dims), rng)
+    G = _gate(prod(dims[k] for k in target), rng)
+
+    def call():
+        if ctrl:
+            return apply_ctrl(psi, G, ctrl, target, dims)
+        return apply(psi, G, target, dims)
+
+    call()  # first call: numpy's lazy set-up
     tracemalloc.start()
     try:
-        out = apply(psi, G, [14, 5], dims)
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the result plus cache-sized blocks; a full-state temporary would
-    # add another 4 MiB
+    # add another copy of the state
     assert peak <= psi.nbytes + 2**20
-    want = ref_contract(psi.reshape(dims), G, [14, 5]).reshape(-1, 1)
+    d = dims[ctrl[0]] if ctrl else 2
+    want = ref_contract(psi.reshape(dims), G, target, ctrl, d).reshape(-1, 1)
     assert np.abs(out - want).max() < TOL

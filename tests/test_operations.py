@@ -335,6 +335,14 @@ def test_vec_is_column_stacking():
     assert np.array_equal(unvec(vec(A)), A)
 
 
+@pytest.mark.parametrize("rows", [0, -1, -4])
+def test_unvec_rejects_a_row_count_below_one(rows):
+    with pytest.raises(QuantumError) as ei:
+        unvec(np.arange(4), rows)
+    assert ei.value.kind is ErrorKind.OUT_OF_RANGE
+    assert ei.value.op == "unvec"
+
+
 def test_vec_of_sandwich_identity():
     rng = default_rng(13)
     A, rho, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
