@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, as_matrix, check_square, check_subsys
+from ._checks import _frozen, as_int, as_square, check_subsys
 from .constants import omega
 from .exceptions import ErrorKind, QuantumError
 from .operations import _contract
@@ -26,7 +26,7 @@ def cnot() -> np.ndarray:
 
 def Xd(D: int) -> np.ndarray:
     """Cyclic shift |j> -> |j+1 mod D>; reduces to Pauli X for D=2."""
-    D = _check_qudit_dim(D, "Xd")
+    D = as_int(D, "Xd", "D", 2, kind=ErrorKind.DIMS_INVALID)
     M = np.zeros((D, D), dtype=np.complex128)
     for j in range(D):
         M[(j + 1) % D, j] = 1.0
@@ -35,24 +35,17 @@ def Xd(D: int) -> np.ndarray:
 
 def Zd(D: int) -> np.ndarray:
     """Clock gate diag(1, w, w^2, ...), w the D-th root of unity."""
-    D = _check_qudit_dim(D, "Zd")
+    D = as_int(D, "Zd", "D", 2, kind=ErrorKind.DIMS_INVALID)
     w = omega(D)
     return np.diag([w**j for j in range(D)]).astype(np.complex128)
 
 
 def Fd(D: int) -> np.ndarray:
     """Fourier gate F[j, k] = w^(j*k)/sqrt(D); reduces to Hadamard for D=2."""
-    D = _check_qudit_dim(D, "Fd")
+    D = as_int(D, "Fd", "D", 2, kind=ErrorKind.DIMS_INVALID)
     w = omega(D)
     j, k = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
     return w ** (j * k) / sqrt(D)
-
-
-def _check_qudit_dim(D: int, op: str) -> int:
-    D = int(D)
-    if D < 2:
-        raise QuantumError(ErrorKind.DIMS_INVALID, op, f"D={D}")
-    return D
 
 
 def ctrl_gate(
@@ -75,12 +68,9 @@ def ctrl_gate(
     Returns:
         The (d**n) x (d**n) controlled unitary.
     """
-    M = as_matrix(U, "ctrl_gate")
-    check_square(M, "ctrl_gate")
-    d = _check_qudit_dim(d, "ctrl_gate")
-    n = int(n)
-    if n < 1:
-        raise QuantumError(ErrorKind.OUT_OF_RANGE, "ctrl_gate", f"n={n}")
+    M = as_square(U, "ctrl_gate")
+    d = as_int(d, "ctrl_gate", "d", 2, kind=ErrorKind.DIMS_INVALID)
+    n = as_int(n, "ctrl_gate", "n", 1)
     ctrl = check_subsys(ctrl, n, "ctrl_gate")
     target = check_subsys(target, n, "ctrl_gate")
     if set(ctrl) & set(target):
@@ -130,10 +120,7 @@ class GatesRegistry:
     @staticmethod
     def Id(D: int) -> np.ndarray:
         """D x D identity."""
-        D = int(D)
-        if D < 1:
-            raise QuantumError(ErrorKind.OUT_OF_RANGE, "Id", f"D={D}")
-        return np.eye(D, dtype=np.complex128)
+        return np.eye(as_int(D, "Id", "D", 1), dtype=np.complex128)
 
 
 gt = GatesRegistry()

@@ -4,40 +4,22 @@ The convention is row-major: the leftmost subsystem is the most
 significant digit, so the basis label |10> over dimensions [2, 2] is
 linear index 2.
 
-These converters sit on the hot path of every kernel, so the per-dims
-validation work is memoized on the dimension tuple.
+The converters are pure-Python helpers for callers that label basis
+states; the kernels index through numpy reshapes and never call them.
+The per-dims validation they share is memoized on the dimension tuple.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import prod
 from typing import Sequence
 
-from .constants import MAXN
+from ._checks import _dims_info, as_int
 from .exceptions import ErrorKind, QuantumError
-
-
-@lru_cache(maxsize=4096)
-def _dims_info(dims: tuple) -> tuple[tuple[int, ...], int]:
-    """Validated dimension tuple and its total product."""
-    ds = tuple(int(d) for d in dims)
-    if len(ds) == 0:
-        raise QuantumError(ErrorKind.DIMS_INVALID, "validate_dims", "empty dimension list")
-    if len(ds) > MAXN:
-        raise QuantumError(
-            ErrorKind.DIMS_INVALID, "validate_dims", f"more than {MAXN} subsystems"
-        )
-    if any(d < 2 for d in ds):
-        raise QuantumError(
-            ErrorKind.DIMS_INVALID, "validate_dims", "every dimension must be >= 2"
-        )
-    return ds, prod(ds)
 
 
 def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
     """Linear index of a multi-index: n = sum_k midx[k] * prod_{j>k} dims[j]."""
-    ds, _ = _dims_info(tuple(dims))
+    ds, _ = _dims_info(*dims)
     if len(midx) != len(ds):
         raise QuantumError(
             ErrorKind.SUBSYS_MISMATCH_DIMS,
@@ -56,7 +38,7 @@ def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
 
 def n_to_multiidx(n: int, dims: Sequence[int]) -> list[int]:
     """Inverse of :func:`multiidx_to_n`."""
-    ds, total = _dims_info(tuple(dims))
+    ds, total = _dims_info(*dims)
     if not 0 <= n < total:
         raise QuantumError(ErrorKind.OUT_OF_RANGE, "n_to_multiidx", f"n={n}")
     n = int(n)
@@ -68,8 +50,8 @@ def n_to_multiidx(n: int, dims: Sequence[int]) -> list[int]:
 
 def validate_dims(dims: Sequence[int], total: int) -> None:
     """Check that ``dims`` is a valid decomposition of a space of size ``total``."""
-    _, p = _dims_info(tuple(dims))
-    if p != int(total):
+    _, p = _dims_info(*dims)
+    if p != as_int(total, "validate_dims", "total"):
         raise QuantumError(
             ErrorKind.DIMS_MISMATCH_MATRIX, "validate_dims", f"prod(dims)={p} != {total}"
         )

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import as_matrix, check_square, hermitian_part
-from .exceptions import ErrorKind, QuantumError
+from ._checks import as_int, as_matrix, as_square, hermitian_part
 
 
 def transpose(A) -> np.ndarray:
@@ -28,9 +27,7 @@ def adjoint(A) -> np.ndarray:
 
 def trace(A) -> complex:
     """Sum of diagonal entries of a square matrix."""
-    M = as_matrix(A, "trace")
-    check_square(M, "trace")
-    return complex(np.trace(M))
+    return complex(np.trace(as_square(A, "trace")))
 
 
 def norm(A) -> float:
@@ -49,28 +46,19 @@ def kron(A, B) -> np.ndarray:
 def kron_pow(A, n: int) -> np.ndarray:
     """n-fold Kronecker power A (x) A (x) ... (n >= 1 factors)."""
     M = as_matrix(A, "kron_pow")
-    n = int(n)
-    if n < 1:
-        raise QuantumError(ErrorKind.OUT_OF_RANGE, "kron_pow", f"n={n}")
+    n = as_int(n, "kron_pow", "n", 1)
     out = M.copy()
     for _ in range(n - 1):
         out = np.kron(out, M)
     return out
 
 
-def _hermitian_input(A, op: str) -> np.ndarray:
-    M = as_matrix(A, op)
-    check_square(M, op)
-    # symmetrize to stabilize roundoff before the decomposition
-    return hermitian_part(M, op)
-
-
 def hevals(H) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, real and ascending."""
-    return np.linalg.eigvalsh(_hermitian_input(H, "hevals"))
+    return np.linalg.eigvalsh(hermitian_part(H, "hevals"))
 
 
 def hevects(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-    evals, V = np.linalg.eigh(_hermitian_input(H, "hevects"))
+    evals, V = np.linalg.eigh(hermitian_part(H, "hevects"))
     return evals, V

@@ -12,10 +12,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import as_matrix, as_state, check_dims, check_square
+from ._checks import TRACE_TOL, _targets, as_square, as_state, check_dims, within
 from .constants import EPS
-from .exceptions import ErrorKind, QuantumError
-from .operations import _targets
+from .exceptions import ErrorKind
 from .randomness import thread_rng
 
 
@@ -23,8 +22,10 @@ class MeasurementOutcome(NamedTuple):
     """Sampled outcome index, all outcome probabilities, and every
     post-measurement state (kets for ket input, matrices for matrix input).
 
-    Outcomes with zero probability carry a zero-size sentinel state and
-    are never sampled.
+    The measured state must be normalized, to within the trace tolerance
+    1e-6, so ``probs`` are Born probabilities that sum to 1. Outcomes with
+    zero probability carry a zero-size sentinel state and are never
+    sampled.
     """
 
     result: int
@@ -50,7 +51,9 @@ def measure(
     """Measure ``subsys`` of a ket or density matrix in an orthonormal basis.
 
     Args:
-        state: column ket of length prod(dims) or square matrix of that side.
+        state: column ket of length prod(dims) or square matrix of that side,
+            normalized: a ket's squared norm, or a matrix's trace, within
+            1e-6 of 1 (``DIMS_INVALID`` otherwise).
         basis: square matrix whose COLUMNS are the measurement basis vectors,
             of side prod(dims[k] for k in subsys).
         subsys: distinct subsystem indices to measure (and remove).
@@ -67,13 +70,12 @@ def measure(
     ds = check_dims(dims, op)
     D = prod(ds)
     M, is_ket = as_state(state, D, op)
-    B = as_matrix(basis, op)
-    check_square(B, op)
+    B = as_square(basis, op)
     ss = _targets(op, B.shape[0], subsys, ds, "basis", "measured")
     Dsub = B.shape[0]
     Bh = B.conj().T
-    if np.abs(Bh @ B - np.eye(Dsub)).max() > EPS:
-        raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, "basis columns not orthonormal")
+    err = np.abs(Bh @ B - np.eye(Dsub)).max()
+    within(err, EPS, op, "basis columns not orthonormal", ErrorKind.DIMS_MISMATCH_MATRIX)
     if rng is None:
         rng = thread_rng()
 
@@ -83,15 +85,17 @@ def measure(
     if is_ket:
         # One copy puts the measured axes first, one gemm applies B^dag:
         # row i is the unnormalized outcome-i ket. The copy is freed at once.
-        blocks = list((Bh @ M.reshape(ds).transpose(order).reshape(Dsub, rest))[:, :, None])
-        probs = [np.vdot(b, b).real for b in blocks]
+        blocks = Bh @ M.reshape(ds).transpose(order).reshape(Dsub, rest)
+        probs = np.einsum("ij,ij->i", blocks.conj(), blocks).real
+        blocks = blocks[:, :, None]
     else:
         # The same copy and gemm on the rows; outcome i's diagonal block then
         # needs only row i of B^dag, conjugated, on the columns.
         X = M.reshape(ds + ds).transpose(order + [n + k for k in order])
         Y = (Bh @ X.reshape(Dsub, -1)).reshape(Dsub, rest, Dsub, rest)
-        blocks = list(np.einsum("irjs,ij->irs", Y, Bh.conj()))
-        probs = [max(float(np.trace(b).real), 0.0) for b in blocks]
+        blocks = np.einsum("irjs,ij->irs", Y, Bh.conj())
+        probs = np.maximum(np.einsum("irr->i", blocks).real, 0.0)
+    within(abs(probs.sum() - 1.0), TRACE_TOL, op, "state is not normalized")
 
     states: list[np.ndarray] = []
     for p, b in zip(probs, blocks):
@@ -101,5 +105,4 @@ def measure(
             states.append(np.ones((1, 1), dtype=np.complex128))
         else:
             states.append(b / (np.sqrt(p) if is_ket else p))
-    result = _sample(np.array(probs), rng)
-    return MeasurementOutcome(result, [float(p) for p in probs], states)
+    return MeasurementOutcome(_sample(probs, rng), probs.tolist(), states)

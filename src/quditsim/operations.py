@@ -19,12 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import (
+    _targets,
+    as_int,
     as_matrix,
+    as_square,
     as_state,
     check_dims,
-    check_square,
     check_subsys,
     hermitian_part,
+    within,
 )
 from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
@@ -183,28 +186,6 @@ def _apply(
     return _channel(t, [CU], [*ctrl, *axes]).reshape(M.shape)
 
 
-def _targets(
-    op: str, side: int, subsys: Sequence[int], ds: list[int], what: str, of: str = "targeted"
-) -> list[int]:
-    """Validated subsystem list whose dimensions multiply to ``side``."""
-    ss = check_subsys(subsys, len(ds), op)
-    p = prod(ds[k] for k in ss)
-    if side != p:
-        detail = f"{what} side {side} != product of {of} dimensions {p}"
-        raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, detail)
-    return ss
-
-
-def _validated_targets(
-    op: str, state, U, subsys: Sequence[int], dims: Sequence[int], of: str = "targeted"
-) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    ds = check_dims(dims, op)
-    M, _ = as_state(state, prod(ds), op)
-    G = as_matrix(U, op)
-    check_square(G, op)
-    return M, G, _targets(op, G.shape[0], subsys, ds, "operator", of), ds
-
-
 def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Apply an operator to selected subsystems of a ket or density matrix.
 
@@ -221,8 +202,11 @@ def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     Returns:
         A ket for ket input, a square matrix for matrix input.
     """
-    M, G, ss, ds = _validated_targets("apply", state, U, subsys, dims)
-    return _apply(M, G, ds, ss)
+    op = "apply"
+    ds = check_dims(dims, op)
+    M, _ = as_state(state, prod(ds), op)
+    G = as_square(U, op)
+    return _apply(M, G, ds, _targets(op, G.shape[0], subsys, ds, "operator"))
 
 
 def apply_ctrl(
@@ -235,7 +219,10 @@ def apply_ctrl(
     configuration is left alone. Works on kets and density matrices.
     """
     op = "apply_ctrl"
-    M, G, tt, ds = _validated_targets(op, state, U, target, dims, "target")
+    ds = check_dims(dims, op)
+    M, _ = as_state(state, prod(ds), op)
+    G = as_square(U, op)
+    tt = _targets(op, G.shape[0], target, ds, "operator", "target")
     cc = check_subsys(ctrl, len(ds), op)
     if set(cc) & set(tt):
         raise QuantumError(ErrorKind.SUBSYS_MISMATCH_DIMS, op, "ctrl and target overlap")
@@ -250,11 +237,7 @@ def apply_ctrl(
 def _check_kraus(Ks, op: str) -> list[np.ndarray]:
     if Ks is None or len(Ks) == 0:
         raise QuantumError(ErrorKind.ZERO_SIZE, op, "empty Kraus list")
-    out = []
-    for K in Ks:
-        M = as_matrix(K, op)
-        check_square(M, op)
-        out.append(M)
+    out = [as_square(K, op) for K in Ks]
     if any(K.shape != out[0].shape for K in out):
         raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, "Kraus operators differ in shape")
     return out
@@ -269,13 +252,9 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
     op = "apply_channel"
     ops = _check_kraus(Ks, op)
     ds = check_dims(dims, op)
-    D = prod(ds)
-    M = as_matrix(rho, op)
-    check_square(M, op)
-    if M.shape[0] != D:
-        raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX, op, f"state side {M.shape[0]} != prod(dims) {D}"
-        )
+    M, is_ket = as_state(rho, prod(ds), op)
+    if is_ket:
+        raise QuantumError(ErrorKind.MATRIX_NOT_SQUARE, op, "a ket is not promoted to rho")
     ss = _targets(op, ops[0].shape[0], subsys, ds, "Kraus")
     return _channel(M.reshape(ds + ds), ops, ss).reshape(M.shape)
 
@@ -296,8 +275,8 @@ def unvec(v, rows: int | None = None) -> np.ndarray:
             raise QuantumError(
                 ErrorKind.DIMS_INVALID, "unvec", f"length {len(flat)} is not a perfect square"
             )
-    elif rows <= 0:
-        raise QuantumError(ErrorKind.OUT_OF_RANGE, "unvec", f"rows={rows}")
+    else:
+        rows = as_int(rows, "unvec", "rows", 1)
     cols, rem = divmod(len(flat), rows)
     if rem:
         raise QuantumError(ErrorKind.DIMS_INVALID, "unvec", f"length {len(flat)} not divisible")
@@ -339,14 +318,12 @@ def choi2kraus(J) -> list[np.ndarray]:
     numerical error.
     """
     op = "choi2kraus"
-    M = as_matrix(J, op)
-    check_square(M, op)
+    M = as_square(J, op)
     D = int(round(M.shape[0] ** 0.5))
     if D * D != M.shape[0]:
         raise QuantumError(ErrorKind.DIMS_INVALID, op, f"side {M.shape[0]} is not a perfect square")
     evals, V = np.linalg.eigh(hermitian_part(M, op, "Choi matrix"))
-    if evals[0] < -EPS * evals[-1]:
-        raise QuantumError(ErrorKind.DIMS_INVALID, op, "Choi matrix is not positive semidefinite")
+    within(-evals[0], EPS * evals[-1], op, "Choi matrix is not positive semidefinite")
     out = []
     for lam, v in zip(evals, V.T):
         if lam > EPS * evals[-1]:
@@ -417,7 +394,7 @@ def invperm(perm: Sequence[int]) -> list[int]:
 
 
 def _check_perm(perm: Sequence[int], op: str) -> list[int]:
-    p = [int(x) for x in perm]
+    p = [as_int(x, op, "permutation entry") for x in perm]
     if len(p) == 0 or sorted(p) != list(range(len(p))):
         raise QuantumError(ErrorKind.PERM_INVALID, op, f"{p}")
     return p

@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .exceptions import ErrorKind, QuantumError
+from ._checks import as_int
 
 _tls = threading.local()
 
@@ -31,13 +31,6 @@ def thread_rng() -> np.random.Generator:
     return rng
 
 
-def _check_size(D: int, op: str) -> int:
-    D = int(D)
-    if D < 1:
-        raise QuantumError(ErrorKind.OUT_OF_RANGE, op, f"{D}")
-    return D
-
-
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(
         2.0
@@ -50,7 +43,7 @@ def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     Draws a Ginibre matrix, QR-factorizes, and multiplies Q by the phases
     of R's diagonal; without that phase fix plain QR is not Haar.
     """
-    D = _check_size(D, "rand_unitary")
+    D = as_int(D, "rand_unitary", "D", 1)
     if rng is None:
         rng = thread_rng()
     Q, R = np.linalg.qr(_ginibre(D, D, rng))
@@ -60,7 +53,7 @@ def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
 
 def rand_ket(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Haar-uniform pure state: normalized vector of i.i.d. complex Gaussians."""
-    D = _check_size(D, "rand_ket")
+    D = as_int(D, "rand_ket", "D", 1)
     if rng is None:
         rng = thread_rng()
     v = _ginibre(D, 1, rng)
@@ -69,7 +62,7 @@ def rand_ket(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
 
 def rand_rho(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Random density matrix G G^dag / trace(G G^dag) for Ginibre G."""
-    D = _check_size(D, "rand_rho")
+    D = as_int(D, "rand_rho", "D", 1)
     if rng is None:
         rng = thread_rng()
     G = _ginibre(D, D, rng)
@@ -79,7 +72,7 @@ def rand_rho(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
 
 def rand_perm(n: int, rng: np.random.Generator | None = None) -> list[int]:
     """Uniformly random permutation of {0, ..., n-1} (Fisher-Yates shuffle)."""
-    n = _check_size(n, "rand_perm")
+    n = as_int(n, "rand_perm", "n", 1)
     if rng is None:
         rng = thread_rng()
     return [int(k) for k in rng.permutation(n)]

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, check_dims
-from .exceptions import ErrorKind, QuantumError
+from ._checks import _frozen, as_int, check_dims
+from .exceptions import QuantumError
 from .indexing import multiidx_to_n
 from .linalg import kron_pow
 
@@ -59,19 +59,12 @@ def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray
     if dims is None:
         dims = [2] * len(digits)
     ds = check_dims(dims, "mket")
-    if len(digits) != len(ds):
-        raise QuantumError(
-            ErrorKind.SUBSYS_MISMATCH_DIMS,
-            "mket",
-            f"{len(digits)} digits for {len(ds)} subsystems",
-        )
-    D = prod(ds)
-    ket = np.zeros((D, 1), dtype=np.complex128)
+    midx = [as_int(x, "mket", "digit") for x in digits]
+    ket = np.zeros((prod(ds), 1), dtype=np.complex128)
     try:
-        n = multiidx_to_n(digits, ds)
+        ket[multiidx_to_n(midx, ds), 0] = 1.0
     except QuantumError as err:
-        raise QuantumError(err.kind, "mket") from None
-    ket[n, 0] = 1.0
+        raise QuantumError(err.kind, "mket", err.detail) from None
     return ket
 
 
@@ -87,9 +80,7 @@ def shor_codeword(logical: int) -> np.ndarray:
     same with a relative minus sign: a 512-dimensional unit ket with 8
     nonzero amplitudes of magnitude 1/(2*sqrt(2)).
     """
-    logical = int(logical)
-    if logical not in (0, 1):
-        raise QuantumError(ErrorKind.OUT_OF_RANGE, "shor_codeword", f"logical={logical}")
+    logical = as_int(logical, "shor_codeword", "logical", 0, 1)
     s = 1 / sqrt(2)
     ghz = np.zeros((8, 1), dtype=np.complex128)
     ghz[0, 0] = s

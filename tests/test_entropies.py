@@ -91,6 +91,11 @@ def test_entropy_rejects_non_density_matrices():
         entropy(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     assert ei.value.kind is ErrorKind.DIMS_INVALID
     with pytest.raises(QuantumError) as ei:
+        # rho_B = diag(1.5, -0.5): the failing entropy reports its caller
+        qmutualinfo(np.diag([1.5, -0.5, 0, 0]), [0], [1], [2, 2])
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+    assert ei.value.op == "qmutualinfo"
+    with pytest.raises(QuantumError) as ei:
         entropy(np.ones((2, 3)))
     assert ei.value.kind is ErrorKind.MATRIX_NOT_SQUARE
 
