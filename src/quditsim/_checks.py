@@ -99,12 +99,14 @@ def hermitian_part(A, op: str, what: str = "matrix") -> np.ndarray:
     """(M + M^dag) / 2 for a square M that is Hermitian up to roundoff.
 
     The error max|M - M^dag| is taken relative to max(1, max|M|), so the
-    same matrix passes at every scale; an inf entry makes it inf / inf,
-    which is NaN and fails.
+    same matrix passes at every scale. An inf entry makes it NaN (inf - inf
+    or inf / inf) and an overflowing difference makes it inf; both fail the
+    check instead of raising numpy's warning first.
     """
     M = as_square(A, op)
     H = M.conj().T
-    err = float(np.abs(M - H).max()) / max(1.0, float(np.abs(M).max()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = float(np.abs(M - H).max()) / max(1.0, float(np.abs(M).max()))
     within(err, EPS, op, f"{what} is not Hermitian")
     return (M + H) / 2
 
@@ -148,6 +150,20 @@ def _targets(
         detail = f"{what} side {side} != product of {of} dimensions {p}"
         raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, detail)
     return ss
+
+
+def ctrl_targets(op: str, side: int, ctrl, target, ds: list[int]) -> tuple[list[int], list[int]]:
+    """Validated (ctrl, target) of a controlled operator of side ``side``: the
+    targets first, then controls disjoint from them and of one dimension."""
+    tt = _targets(op, side, target, ds, "operator", "target")
+    cc = check_subsys(ctrl, len(ds), op)
+    if set(cc) & set(tt):
+        raise QuantumError(ErrorKind.SUBSYS_MISMATCH_DIMS, op, "ctrl and target overlap")
+    if any(ds[c] != ds[cc[0]] for c in cc):
+        raise QuantumError(
+            ErrorKind.SUBSYS_MISMATCH_DIMS, op, "control subsystems must share one dimension"
+        )
+    return cc, tt
 
 
 def as_state(state, D: int, op: str) -> tuple[np.ndarray, bool]:

@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, as_int, as_square, check_subsys
-from .constants import omega
-from .exceptions import ErrorKind, QuantumError
-from .operations import _contract
+from ._checks import _frozen, as_int, as_square, ctrl_targets
+from .constants import MAXN, omega
+from .exceptions import ErrorKind
+from .operations import _controlled
 
 
 def cnot() -> np.ndarray:
@@ -62,34 +62,19 @@ def ctrl_gate(
         U: square matrix of side d**len(target).
         ctrl: control subsystem indices.
         target: target subsystem indices, disjoint from ``ctrl``.
-        n: number of qudits in the register.
+        n: number of qudits in the register, 1 <= n <= MAXN.
         d: dimension of each qudit.
 
     Returns:
         The (d**n) x (d**n) controlled unitary.
     """
-    M = as_square(U, "ctrl_gate")
-    d = as_int(d, "ctrl_gate", "d", 2, kind=ErrorKind.DIMS_INVALID)
-    n = as_int(n, "ctrl_gate", "n", 1)
-    ctrl = check_subsys(ctrl, n, "ctrl_gate")
-    target = check_subsys(target, n, "ctrl_gate")
-    if set(ctrl) & set(target):
-        raise QuantumError(
-            ErrorKind.SUBSYS_MISMATCH_DIMS, "ctrl_gate", "ctrl and target overlap"
-        )
-    tdim = d ** len(target)
-    if M.shape[0] != tdim:
-        raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX,
-            "ctrl_gate",
-            f"U side {M.shape[0]} != d**len(target) = {tdim}",
-        )
-
-    D = d**n
-    # column k of the gate is its image of basis ket k: one batched pass
-    # over the identity, the trailing axis indexing the columns
-    K = _contract(np.eye(D, dtype=np.complex128).reshape([d] * n + [D]), M, target, ctrl, d)
-    return K.reshape(D, D)
+    op = "ctrl_gate"
+    M = as_square(U, op)
+    d = as_int(d, op, "d", 2, kind=ErrorKind.DIMS_INVALID)
+    n = as_int(n, op, "n", 1, MAXN, kind=ErrorKind.DIMS_INVALID)
+    ds = [d] * n
+    cc, tt = ctrl_targets(op, M.shape[0], ctrl, target, ds)
+    return _controlled(M, ds, cc, tt)
 
 
 class GatesRegistry:

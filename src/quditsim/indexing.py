@@ -6,7 +6,8 @@ linear index 2.
 
 The converters are pure-Python helpers for callers that label basis
 states; the kernels index through numpy reshapes and never call them.
-The per-dims validation they share is memoized on the dimension tuple.
+The per-dims validation they share is memoized on the dimension tuple;
+digits and indices go through ``as_int`` unless they are plain ints.
 """
 
 from __future__ import annotations
@@ -28,20 +29,23 @@ def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
         )
     n = 0
     for digit, d in zip(midx, ds):
+        if type(digit) is not int:
+            digit = as_int(digit, "multiidx_to_n", "digit")
         if not 0 <= digit < d:
             raise QuantumError(
                 ErrorKind.OUT_OF_RANGE, "multiidx_to_n", f"digit {digit} for dimension {d}"
             )
         n = n * d + digit
-    return int(n)
+    return n
 
 
 def n_to_multiidx(n: int, dims: Sequence[int]) -> list[int]:
     """Inverse of :func:`multiidx_to_n`."""
     ds, total = _dims_info(*dims)
+    if type(n) is not int:
+        n = as_int(n, "n_to_multiidx", "n")
     if not 0 <= n < total:
         raise QuantumError(ErrorKind.OUT_OF_RANGE, "n_to_multiidx", f"n={n}")
-    n = int(n)
     out = [0] * len(ds)
     for k in range(len(ds) - 1, -1, -1):
         n, out[k] = divmod(n, ds[k])

@@ -19,6 +19,7 @@ Save/load round-trips are bitwise exact.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import struct
 from pathlib import Path
@@ -91,23 +92,24 @@ def format_sequence(xs: Iterable, delimiter: str = " ", precision: int = 4, chop
     return delimiter.join(parts)
 
 
+def _opened(target, mode: str):
+    """A path opened in ``mode``, or a stream as is, to use in ``with``."""
+    if isinstance(target, (str, Path)):
+        return open(target, mode)
+    return contextlib.nullcontext(target)
+
+
 def save(A, sink) -> None:
     """Write a matrix to a binary stream or path in the QSIM format."""
     M = as_matrix(A, "save")
     header = _HEADER.pack(MAGIC, VERSION, M.shape[0], M.shape[1])
     payload = np.ascontiguousarray(M, dtype="<c16").tobytes()
-    if isinstance(sink, (str, Path)):
-        try:
-            with open(sink, "wb") as fh:
-                fh.write(header)
-                fh.write(payload)
-        except OSError as exc:
-            raise QuantumError(ErrorKind.IO_ERROR, "save", str(exc)) from None
-        return
+    # ValueError: a closed stream, or a NUL byte in a path
     try:
-        sink.write(header)
-        sink.write(payload)
-    except (OSError, ValueError) as exc:  # ValueError: closed stream
+        with _opened(sink, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+    except (OSError, ValueError) as exc:
         raise QuantumError(ErrorKind.IO_ERROR, "save", str(exc)) from None
 
 
@@ -116,10 +118,7 @@ def _read_exact(fh, n: int, what: str) -> bytearray:
     # the first missing chunk instead of allocating its claimed size.
     buf = bytearray()
     while len(buf) < n:
-        try:
-            block = fh.read(min(n - len(buf), _CHUNK))
-        except (OSError, ValueError) as exc:  # ValueError: closed stream
-            raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None
+        block = fh.read(min(n - len(buf), _CHUNK))
         if not block:
             raise QuantumError(ErrorKind.IO_ERROR, "load", f"truncated {what}")
         buf += block
@@ -145,13 +144,11 @@ def load(source) -> np.ndarray:
     A stream is left just after the record read, so matrices saved one
     after another to a stream load back one per call.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            fh = open(source, "rb")
-        except OSError as exc:
-            raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None
-        with fh:
-            return _read_record(fh)
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    return _read_record(source)
+    # ValueError: a closed stream, or a NUL byte in a path
+    try:
+        with _opened(source, "rb") as fh:
+            return _read_record(fh)
+    except (OSError, ValueError) as exc:
+        raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None

@@ -26,6 +26,7 @@ from ._checks import (
     as_state,
     check_dims,
     check_subsys,
+    ctrl_targets,
     hermitian_part,
     within,
 )
@@ -43,17 +44,17 @@ _SHORT = 32
 
 
 def _contract(
-    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = (), d: int = 2
+    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = ()
 ) -> np.ndarray:
     """Apply the square matrix G to ``axes`` of tensor t, in that factor order.
 
     With ``ctrl`` set, G^j acts only on the slice where every control axis
-    (each of dimension d) equals j, and every other slice is copied as is.
-    Never writes t; the result is its one allocation of t's size and shares
-    no memory with t. The controls are split off first, one sector at a
-    time; each sector's targets then take one matmul when they are
-    adjacent and the output's layout lets it be written in place, and run
-    tensordot block by block otherwise.
+    (all of one dimension d, read from t) equals j, and every other slice
+    is copied as is. Never writes t; the result is its one allocation of
+    t's size and shares no memory with t. The controls are split off
+    first, one sector at a time; each sector's targets then take one
+    matmul when they are adjacent and the output's layout lets it be
+    written in place, and run tensordot block by block otherwise.
     """
     out = np.empty_like(t, order="C")
     axes = list(axes)
@@ -65,10 +66,30 @@ def _contract(
         G = G.reshape(dsub + dsub).transpose(order + [s + o for o in order]).reshape(G.shape)
         axes.sort()
     Gs = [None, G]
-    while ctrl and len(Gs) < d:
+    while ctrl and len(Gs) < t.shape[ctrl[0]]:
         Gs.append(Gs[-1] @ G)
-    _into(out, t, Gs, axes, sorted(ctrl), range(1, d) if ctrl else (1,))
+    _into(out, t, Gs, axes, sorted(ctrl), range(1, len(Gs)) if ctrl else (1,))
     return out
+
+
+def _controlled(G: np.ndarray, dims: list[int], ctrl: list[int], target: list[int]) -> np.ndarray:
+    """Matrix of G on ``target`` controlled by ``ctrl``, over subsystems ``dims``.
+
+    Column k is its image of basis ket k: one pass of :func:`_contract`
+    over the identity, whose trailing axis indexes the columns.
+    """
+    k = prod(dims)
+    eye = np.eye(k, dtype=np.complex128).reshape([*dims, k])
+    return _contract(eye, G, target, ctrl).reshape(k, k)
+
+
+def _super(Ks: Sequence[np.ndarray]) -> np.ndarray:
+    """S = sum_i kron(conj(K_i), K_i): vec(sum_i K_i rho K_i^dag) == S vec(rho)
+    for column-stacking vec, so conj(K_i) acts on rho's column index."""
+    S = np.kron(Ks[0].conj(), Ks[0])
+    for K in Ks[1:]:
+        S += np.kron(K.conj(), K)
+    return S
 
 
 def _into(y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[int], js) -> None:
@@ -128,15 +149,6 @@ def _blocked_into(y: np.ndarray, x: np.ndarray, G: np.ndarray, axes: list[int]) 
     y[...] = np.tensordot(G.reshape(dsub + dsub), x, (list(range(s, 2 * s)), axes)).transpose(perm)
 
 
-def _conjugate(
-    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = (), d: int = 2
-) -> np.ndarray:
-    """G_full rho G_full^dag on the row + column tensor t of a density matrix."""
-    n = t.ndim // 2
-    t = _contract(t, G, axes, ctrl, d)
-    return _contract(t, G.conj(), [n + a for a in axes], [n + c for c in ctrl], d)
-
-
 def _one_pass(dsub: int, r: int, D: int) -> bool:
     """Whether r Kraus terms of side dsub on a D x D rho take the superoperator.
 
@@ -146,44 +158,38 @@ def _one_pass(dsub: int, r: int, D: int) -> bool:
     return dsub <= 4 * r and dsub * dsub <= D
 
 
-def _channel(t: np.ndarray, Ks: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
-    """sum_i K_i_full rho K_i_full^dag on the row + column tensor t of rho.
+def _channel(t: np.ndarray, Ks: list[np.ndarray], axes: Sequence[int], ctrl=()) -> np.ndarray:
+    """sum_i K_i_full rho K_i_full^dag on the row + column tensor t of rho,
+    each K_i controlled by ``ctrl`` as in :func:`_contract`.
 
-    Either one contraction with S = sum_i kron(K_i, conj(K_i)) on the row
-    and column axes together (row-major pairs (i, j), unlike the
-    column-stacking :func:`kraus2super`), or two passes per Kraus term.
+    The one place that picks rho's route, by :func:`_one_pass` on the side
+    k of ``ctrl`` + ``axes``: one contraction with :func:`_super` of the
+    k x k controlled K_i on the column and row axes together, or a row and
+    a column pass per Kraus term.
     """
     n = t.ndim // 2
-    dsub = Ks[0].shape[0]
-    if _one_pass(dsub, len(Ks), prod(t.shape[:n])):
-        S = np.kron(Ks[0], Ks[0].conj())
-        for K in Ks[1:]:
-            S += np.kron(K, K.conj())
-        return _contract(t, S, list(axes) + [n + a for a in axes])
-    out = _conjugate(t, Ks[0], axes)
-    for K in Ks[1:]:
-        out += _conjugate(t, K, axes)
+    sub = [*ctrl, *axes]
+    local = [t.shape[a] for a in sub]
+    if _one_pass(prod(local), len(Ks), prod(t.shape[:n])):
+        if ctrl:
+            nc = len(ctrl)
+            Ks = [_controlled(K, local, list(range(nc)), list(range(nc, len(sub)))) for K in Ks]
+        return _contract(t, _super(Ks), [n + a for a in sub] + sub)
+    cols = [n + a for a in axes], [n + c for c in ctrl]
+    terms = (_contract(_contract(t, K, axes, ctrl), K.conj(), *cols) for K in Ks)
+    out = next(terms)
+    for term in terms:
+        out += term
     return out
 
 
 def _apply(
-    M: np.ndarray, G: np.ndarray, ds: list[int], axes: Sequence[int], ctrl=(), d: int = 2
+    M: np.ndarray, G: np.ndarray, ds: list[int], axes: Sequence[int], ctrl: Sequence[int] = ()
 ) -> np.ndarray:
     """G on ``axes`` of the ket M, or conjugating the density matrix M."""
     if M.shape[1] == 1:
-        return _contract(M.reshape(ds), G, axes, ctrl, d).reshape(M.shape)
-    t = M.reshape(ds + ds)
-    if not ctrl:
-        return _channel(t, [G], axes).reshape(M.shape)
-    local = [ds[a] for a in [*ctrl, *axes]]
-    k = prod(local)
-    if not _one_pass(k, 1, M.shape[0]):
-        return _conjugate(t, G, axes, ctrl, d).reshape(M.shape)
-    # the controlled gate on ctrl + target alone, its columns on the last axis
-    nc = len(ctrl)
-    eye = np.eye(k, dtype=np.complex128).reshape(local + [k])
-    CU = _contract(eye, G, list(range(nc, len(local))), list(range(nc)), d).reshape(k, k)
-    return _channel(t, [CU], [*ctrl, *axes]).reshape(M.shape)
+        return _contract(M.reshape(ds), G, axes, ctrl).reshape(M.shape)
+    return _channel(M.reshape(ds + ds), [G], axes, ctrl).reshape(M.shape)
 
 
 def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -222,16 +228,8 @@ def apply_ctrl(
     ds = check_dims(dims, op)
     M, _ = as_state(state, prod(ds), op)
     G = as_square(U, op)
-    tt = _targets(op, G.shape[0], target, ds, "operator", "target")
-    cc = check_subsys(ctrl, len(ds), op)
-    if set(cc) & set(tt):
-        raise QuantumError(ErrorKind.SUBSYS_MISMATCH_DIMS, op, "ctrl and target overlap")
-    d = ds[cc[0]]
-    if any(ds[c] != d for c in cc):
-        raise QuantumError(
-            ErrorKind.SUBSYS_MISMATCH_DIMS, op, "control subsystems must share one dimension"
-        )
-    return _apply(M, G, ds, tt, cc, d)
+    cc, tt = ctrl_targets(op, G.shape[0], ctrl, target, ds)
+    return _apply(M, G, ds, tt, cc)
 
 
 def _check_kraus(Ks, op: str) -> list[np.ndarray]:
@@ -286,12 +284,7 @@ def unvec(v, rows: int | None = None) -> np.ndarray:
 def kraus2super(Ks) -> np.ndarray:
     """Superoperator matrix S = sum_i conj(K_i) kron K_i (column-stacking),
     so that vec(channel(rho)) == S @ vec(rho)."""
-    ops = _check_kraus(Ks, "kraus2super")
-    D = ops[0].shape[0]
-    S = np.zeros((D * D, D * D), dtype=np.complex128)
-    for K in ops:
-        S += np.kron(K.conj(), K)
-    return S
+    return _super(_check_kraus(Ks, "kraus2super"))
 
 
 def kraus2choi(Ks) -> np.ndarray:

@@ -59,10 +59,9 @@ def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray
     if dims is None:
         dims = [2] * len(digits)
     ds = check_dims(dims, "mket")
-    midx = [as_int(x, "mket", "digit") for x in digits]
     ket = np.zeros((prod(ds), 1), dtype=np.complex128)
     try:
-        ket[multiidx_to_n(midx, ds), 0] = 1.0
+        ket[multiidx_to_n(digits, ds), 0] = 1.0
     except QuantumError as err:
         raise QuantumError(err.kind, "mket", err.detail) from None
     return ket

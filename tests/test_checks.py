@@ -22,6 +22,8 @@ from quditsim import (
     kron_pow,
     measure,
     mket,
+    multiidx_to_n,
+    n_to_multiidx,
     qmutualinfo,
     rand_rho,
     rand_unitary,
@@ -86,11 +88,20 @@ def test_nan_input_fails_the_tolerance_check(case):
 
 
 def test_an_inf_entry_fails_the_scaled_hermitian_check():
-    # max|M| = inf scales the tolerance to inf unless the error is divided by it
-    for call in (hevals, hevects, entropy):
-        with pytest.raises(QuantumError) as ei:
-            call(np.array([[0.5, np.inf], [0, 0.5]]))
-        assert ei.value.kind is ErrorKind.DIMS_INVALID
+    # max|M| = inf scales the tolerance to inf unless the error is divided
+    # by it; an inf on the diagonal makes M - M^dag inf - inf, which is NaN
+    for M in ([[0.5, np.inf], [0, 0.5]], np.diag([np.inf, 0])):
+        for call in (hevals, hevects, entropy):
+            with pytest.raises(QuantumError) as ei:
+                call(np.array(M))
+            assert ei.value.kind is ErrorKind.DIMS_INVALID
+
+
+def test_an_overflowing_difference_fails_the_hermitian_check():
+    with pytest.raises(QuantumError) as ei:
+        hevals(np.array([[1e308, 1e308], [-1e308, 0]]))
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+    assert "error inf" in ei.value.detail
 
 
 def test_measure_rejects_a_state_that_is_not_normalized():
@@ -133,6 +144,10 @@ NON_INTEGER_CASES = {
     "subsys": lambda: apply(bell00(), X, [0.7], [2, 2]),
     "subsys_bool": lambda: apply(bell00(), X, [True], [2, 2]),
     "invperm": lambda: invperm([1.7, 0.2]),
+    "multiidx_to_n_float": lambda: multiidx_to_n([0.5, 0], [2, 2]),
+    "multiidx_to_n_bool": lambda: multiidx_to_n([True, 0], [2, 2]),
+    "n_to_multiidx_float": lambda: n_to_multiidx(2.5, [2, 2]),
+    "n_to_multiidx_bool": lambda: n_to_multiidx(True, [2, 2]),
 }
 
 
@@ -156,5 +171,7 @@ def test_integer_parameters_accept_numpy_integers():
     assert shor_codeword(i(1)).shape == (512, 1)
     assert mket([np.int8(1), 0], np.array([2, 3])).shape == (6, 1)
     validate_dims([2, 3], i(6))
+    assert multiidx_to_n([np.int8(1), i(2)], [2, 3]) == 5
+    assert n_to_multiidx(i(5), [2, 3]) == [1, 2]
     out = apply(bell00(), X, np.array([1]), np.array([2, 2]))
     assert np.abs(out - apply(bell00(), X, [1], [2, 2])).max() == 0.0

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from quditsim import (
+    MAXN,
     ErrorKind,
     Fd,
     QuantumError,
     Xd,
     Zd,
+    apply_ctrl,
     cnot,
     ctrl_gate,
     default_rng,
@@ -181,3 +183,28 @@ def test_ctrl_gate_errors():
     with pytest.raises(QuantumError) as ei:
         ctrl_gate(gt.X, [0], [1], 2, 1)
     assert ei.value.kind is ErrorKind.DIMS_INVALID
+    # n is bounded before the n dimensions are listed and the gate is built
+    with pytest.raises(QuantumError) as ei:
+        ctrl_gate(gt.X, [0], [1], MAXN + 1)
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+
+
+# U, ctrl, target on three qubits, each faulty
+BAD_CTRL_TARGET = {
+    "overlap": (gt.X, [0], [0]),
+    "target_out_of_range": (gt.X, [0], [3]),
+    "control_out_of_range": (gt.X, [3], [1]),
+    "side_mismatch": (np.eye(3), [0], [1]),
+    "overlap_and_side_mismatch": (np.eye(4), [1], [1]),  # targets are checked first
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CTRL_TARGET))
+def test_ctrl_gate_and_apply_ctrl_reject_alike(case):
+    U, ctrl, target = BAD_CTRL_TARGET[case]
+    with pytest.raises(QuantumError) as built:
+        ctrl_gate(U, ctrl, target, 3)
+    with pytest.raises(QuantumError) as applied:
+        apply_ctrl(mket([0, 0, 0]), U, ctrl, target, [2, 2, 2])
+    assert built.value.kind is applied.value.kind
+    assert built.value.detail == applied.value.detail

@@ -179,3 +179,20 @@ def test_load_missing_file():
     with pytest.raises(QuantumError) as ei:
         load("/nonexistent/path/m.qsim")
     assert ei.value.kind is ErrorKind.IO_ERROR
+
+
+def _closed_stream():
+    fh = io.BytesIO()
+    fh.close()
+    return fh
+
+
+# a path open() rejects with ValueError, and a stream that cannot be used
+@pytest.mark.parametrize("target", ["a\0b", _closed_stream()], ids=["nul_path", "closed_stream"])
+def test_save_and_load_report_io_error(target):
+    with pytest.raises(QuantumError) as ei:
+        save(np.eye(2), target)
+    assert ei.value.kind is ErrorKind.IO_ERROR and ei.value.op == "save"
+    with pytest.raises(QuantumError) as ei:
+        load(target)
+    assert ei.value.kind is ErrorKind.IO_ERROR and ei.value.op == "load"
