@@ -71,6 +71,20 @@ def _dims_info(*dims) -> tuple[tuple[int, ...], int]:
     return ds, prod(ds)
 
 
+def allocate(op: str, make, shape) -> np.ndarray:
+    """``make(shape, dtype=complex128)`` for ``make`` np.zeros or np.eye.
+
+    numpy's MemoryError, or its ValueError for a shape whose byte count
+    overflows, becomes ``DIMS_INVALID``.
+    """
+    try:
+        return make(shape, dtype=np.complex128)
+    except (MemoryError, ValueError):
+        raise QuantumError(
+            ErrorKind.DIMS_INVALID, op, f"{make.__name__}({shape}) too large to allocate"
+        ) from None
+
+
 def as_matrix(A, op: str) -> np.ndarray:
     """Coerce to a nonempty 2-D complex128 array; 1-D input becomes a column.
 

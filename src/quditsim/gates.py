@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, as_int, as_square, ctrl_targets
+from ._checks import _frozen, allocate, as_int, as_square, ctrl_targets
 from .constants import MAXN, omega
 from .exceptions import ErrorKind
 from .operations import _controlled
@@ -105,7 +105,7 @@ class GatesRegistry:
     @staticmethod
     def Id(D: int) -> np.ndarray:
         """D x D identity."""
-        return np.eye(as_int(D, "Id", "D", 1), dtype=np.complex128)
+        return allocate("Id", np.eye, as_int(D, "Id", "D", 1))
 
 
 gt = GatesRegistry()

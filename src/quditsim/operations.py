@@ -20,6 +20,7 @@ import numpy as np
 
 from ._checks import (
     _targets,
+    allocate,
     as_int,
     as_matrix,
     as_square,
@@ -76,10 +77,12 @@ def _controlled(G: np.ndarray, dims: list[int], ctrl: list[int], target: list[in
     """Matrix of G on ``target`` controlled by ``ctrl``, over subsystems ``dims``.
 
     Column k is its image of basis ket k: one pass of :func:`_contract`
-    over the identity, whose trailing axis indexes the columns.
+    over the identity, whose trailing axis indexes the columns. Only
+    ``ctrl_gate`` can ask for one too large to allocate: :func:`_channel`'s
+    is at most sqrt(D) on a side.
     """
     k = prod(dims)
-    eye = np.eye(k, dtype=np.complex128).reshape([*dims, k])
+    eye = allocate("ctrl_gate", np.eye, k).reshape([*dims, k])
     return _contract(eye, G, target, ctrl).reshape(k, k)
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, as_int, check_dims
+from ._checks import _frozen, allocate, as_int, check_dims
 from .exceptions import QuantumError
 from .indexing import multiidx_to_n
 from .linalg import kron_pow
@@ -59,7 +59,7 @@ def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray
     if dims is None:
         dims = [2] * len(digits)
     ds = check_dims(dims, "mket")
-    ket = np.zeros((prod(ds), 1), dtype=np.complex128)
+    ket = allocate("mket", np.zeros, (prod(ds), 1))
     try:
         ket[multiidx_to_n(digits, ds), 0] = 1.0
     except QuantumError as err:

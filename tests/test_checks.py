@@ -175,3 +175,23 @@ def test_integer_parameters_accept_numpy_integers():
     assert n_to_multiidx(i(5), [2, 3]) == [1, 2]
     out = apply(bell00(), X, np.array([1]), np.array([2, 2]))
     assert np.abs(out - apply(bell00(), X, [1], [2, 2])).max() == 0.0
+
+
+# numpy rejects each of these shapes before it allocates anything: the byte
+# count overflows, or a side exceeds numpy's maximum dimension
+TOO_LARGE_CASES = {
+    "ctrl_gate": ("ctrl_gate", lambda: ctrl_gate(X, [0], [1], 33)),
+    "mket_62": ("mket", lambda: mket([0] * 62)),
+    "mket_63": ("mket", lambda: mket([0] * 63)),
+    "Id": ("Id", lambda: gt.Id(2**40)),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_LARGE_CASES))
+def test_a_space_too_large_to_allocate_is_dims_invalid(case):
+    op, call = TOO_LARGE_CASES[case]
+    with pytest.raises(QuantumError) as ei:
+        call()
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+    assert ei.value.op == op
+    assert "too large to allocate" in ei.value.detail

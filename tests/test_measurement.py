@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quditsim import (
+    EPS,
     ErrorKind,
     Fd,
     QuantumError,
@@ -174,3 +175,64 @@ def test_measure_errors():
     with pytest.raises(QuantumError) as ei:
         measure(np.ones((3, 1)), np.eye(2), [0], [2, 2])
     assert ei.value.kind is ErrorKind.NOT_SQUARE_NOR_KET
+
+
+def _perm_basis(d, rng):
+    """A permutation-times-phase basis: column j is a phase times e_perm[j]."""
+    B = np.zeros((d, d), dtype=complex)
+    B[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.random(d))
+    return B
+
+
+def _gemm_detail(B):
+    err = np.abs(B.conj().T @ B - np.eye(len(B))).max()
+    return f"basis columns not orthonormal: error {err:.3g}, tolerance {EPS:.3g}"
+
+
+def _rejected_basis(B, dims=(2, 2), subsys=(0, 1)):
+    psi = rand_ket(int(np.prod(dims)), default_rng(11))
+    with pytest.raises(QuantumError) as ei:
+        measure(psi, B, list(subsys), list(dims), default_rng(0))
+    assert ei.value.kind is ErrorKind.DIMS_MISMATCH_MATRIX
+    return ei.value.detail
+
+
+def test_permutation_basis_off_by_1e_10_is_rejected_with_the_gemm_error():
+    rng = default_rng(12)
+    for k in range(4):
+        B = _perm_basis(4, rng)
+        B[:, k] *= 1 + 1e-10
+        assert _rejected_basis(B) == _gemm_detail(B)
+
+
+def test_permutation_basis_with_nan_or_inf_is_rejected():
+    for bad in (np.nan, np.inf, complex(np.nan, 1.0)):
+        B = _perm_basis(4, default_rng(13))
+        B[np.flatnonzero(B[:, 2])[0], 2] = bad
+        detail = _rejected_basis(B)
+        assert "error nan" in detail or "error inf" in detail
+
+
+def test_dense_basis_with_inf_or_huge_entry_is_rejected_without_a_warning():
+    for bad in (np.inf, 1e200):
+        B = gt.H.copy()
+        B[0, 0] = bad
+        detail = _rejected_basis(B, [2], [0])
+        assert "error nan" in detail or "error inf" in detail
+
+
+def test_nonzeros_sharing_a_row_are_not_a_permutation_basis():
+    # exactly one nonzero per column, but both in row 0: B^dag B = ones(2, 2)
+    B = np.array([[1, 1], [0, 0]], dtype=complex)
+    assert _rejected_basis(B, [2], [0]) == _gemm_detail(B)
+    B = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=complex)
+    assert _rejected_basis(B, [3], [0]) == _gemm_detail(B)
+
+
+def test_basis_plus_quarter_identity_is_rejected():
+    # the benchmark's invalid basis, on a permutation and on a dense basis
+    rng = default_rng(14)
+    for B in (np.eye(4), _perm_basis(4, rng), rand_unitary(4, rng)):
+        bad = B + 0.25 * np.eye(4)
+        assert _rejected_basis(bad) == _gemm_detail(bad)
+

@@ -30,6 +30,8 @@ U3 = _ro(q.rand_unitary(3, _rng))
 U4 = _ro(q.rand_unitary(4, _rng))
 U12 = _ro(q.rand_unitary(12, _rng))
 I3 = _ro(np.eye(3))
+# a permutation-times-phase basis on [2, 0]: the measure route without gemm
+PHASE_PERM4 = _ro(np.diag(np.exp(1j * np.arange(4)))[[2, 0, 3, 1]])
 KRAUS = [_ro(K) for K in rand_cptp(2, 2, _rng)]
 KRAUS12 = [_ro(K) for K in rand_cptp(12, 2, _rng)]
 RHO24 = _ro(q.rand_rho(24, _rng))
@@ -57,6 +59,8 @@ CASES = {
     "measure_ket_all": (q.measure, KET, U12, [0, 1, 2], DIMS, q.default_rng(0)),
     "measure_rho": (q.measure, RHO, U3, [1], DIMS, q.default_rng(0)),
     "measure_rho_all": (q.measure, RHO, U12, [0, 1, 2], DIMS, q.default_rng(0)),
+    "measure_ket_monomial": (q.measure, KET, PHASE_PERM4, [2, 0], DIMS, q.default_rng(0)),
+    "measure_rho_monomial": (q.measure, RHO, PHASE_PERM4, [2, 0], DIMS, q.default_rng(0)),
     "ptrace_ket_empty": (q.ptrace, KET, [], DIMS),
     "ptrace_rho_empty": (q.ptrace, RHO, [], DIMS),
     "ptrace_rho": (q.ptrace, RHO, [1], DIMS),

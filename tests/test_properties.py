@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import embed_ctrl, embed_operator, rand_cptp, ref_ptrace
+from _oracles import embed_ctrl, embed_operator, rand_cptp, ref_multiindex_enumeration, ref_ptrace
 from quditsim import (
     apply,
     apply_channel,
@@ -101,21 +101,49 @@ def test_apply_channel_matches_embedding(setup, nkraus, seed):
     assert np.abs(apply_channel(rho, Ks, subsys, dims) - expected).max() < TOL
 
 
-@SETTINGS
-@given(dims_and_subsys(), seed_st)
-def test_measure_matches_projector_embedding(setup, seed):
-    dims, subsys = setup
+def _check_measure(dims, subsys, B, seed):
+    """measure of a random ket and rho in basis B against the projector
+    oracle; a ket's post-states also keep the phase of (b_i^dag x I) psi."""
     rng = default_rng(seed)
     psi, rho = _states(dims, rng)
-    B = rand_unitary(prod(dims[k] for k in subsys), rng)
+    dsub = len(B)
+    # entries of the full space whose measured digits are all 0, in the
+    # row-major order of the unmeasured digits
+    home = [all(m[k] == 0 for k in subsys) for m in ref_multiindex_enumeration(dims)]
     for state in (psi, rho):
-        full = state @ state.conj().T if state.shape[1] == 1 else state
+        is_ket = state.shape[1] == 1
+        full = state @ state.conj().T if is_ket else state
         out = measure(state, B, subsys, dims, default_rng(seed))
         for i, (p, post) in enumerate(zip(out.probs, out.states)):
-            P = embed_operator(B[:, [i]] @ B[:, [i]].conj().T, subsys, dims)
+            b = B[:, [i]]
+            P = embed_operator(b @ b.conj().T, subsys, dims)
             unnormalized = ref_ptrace(P @ full @ P, subsys, dims)
             expected_p = np.trace(unnormalized).real
             assert abs(p - expected_p) < TOL
             if expected_p > 1e-9:
-                got = post @ post.conj().T if state.shape[1] == 1 else post
+                got = post @ post.conj().T if is_ket else post
                 assert np.abs(got - unnormalized / expected_p).max() < 1e-8
+                if is_ket and dsub < prod(dims):
+                    e0 = np.eye(dsub)[:, [0]]
+                    amps = (embed_operator(e0 @ b.conj().T, subsys, dims) @ psi)[home]
+                    assert np.abs(post - amps / np.sqrt(expected_p)).max() < 1e-8
+
+
+@SETTINGS
+@given(dims_and_subsys(), seed_st)
+def test_measure_matches_projector_embedding(setup, seed):
+    dims, subsys = setup
+    B = rand_unitary(prod(dims[k] for k in subsys), default_rng([seed, 1]))
+    _check_measure(dims, subsys, B, seed)
+
+
+@SETTINGS
+@given(dims_and_subsys(), seed_st)
+def test_measure_in_a_permutation_basis_matches_projector_embedding(setup, seed):
+    # column j is a phase times e_perm[j]: the gather route, not the gemm
+    dims, subsys = setup
+    dsub = prod(dims[k] for k in subsys)
+    rng = default_rng([seed, 2])
+    B = np.zeros((dsub, dsub), dtype=complex)
+    B[rng.permutation(dsub), np.arange(dsub)] = np.exp(2j * np.pi * rng.random(dsub))
+    _check_measure(dims, subsys, B, seed)
