@@ -71,14 +71,15 @@ def _dims_info(*dims) -> tuple[tuple[int, ...], int]:
     return ds, prod(ds)
 
 
-def allocate(op: str, make, shape) -> np.ndarray:
-    """``make(shape, dtype=complex128)`` for ``make`` np.zeros or np.eye.
+def allocate(op: str, make, shape, dtype=np.complex128) -> np.ndarray:
+    """``make(shape, dtype=dtype)`` for ``make`` np.zeros, np.eye or a
+    generator's draw.
 
     numpy's MemoryError, or its ValueError for a shape whose byte count
     overflows, becomes ``DIMS_INVALID``.
     """
     try:
-        return make(shape, dtype=np.complex128)
+        return make(shape, dtype=dtype)
     except (MemoryError, ValueError):
         raise QuantumError(
             ErrorKind.DIMS_INVALID, op, f"{make.__name__}({shape}) too large to allocate"

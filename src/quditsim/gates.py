@@ -27,17 +27,19 @@ def cnot() -> np.ndarray:
 def Xd(D: int) -> np.ndarray:
     """Cyclic shift |j> -> |j+1 mod D>; reduces to Pauli X for D=2."""
     D = as_int(D, "Xd", "D", 2, kind=ErrorKind.DIMS_INVALID)
-    M = np.zeros((D, D), dtype=np.complex128)
-    for j in range(D):
-        M[(j + 1) % D, j] = 1.0
+    M = allocate("Xd", np.zeros, (D, D))
+    j = np.arange(D)
+    M[(j + 1) % D, j] = 1.0
     return M
 
 
 def Zd(D: int) -> np.ndarray:
     """Clock gate diag(1, w, w^2, ...), w the D-th root of unity."""
     D = as_int(D, "Zd", "D", 2, kind=ErrorKind.DIMS_INVALID)
+    M = allocate("Zd", np.zeros, (D, D))
     w = omega(D)
-    return np.diag([w**j for j in range(D)]).astype(np.complex128)
+    np.fill_diagonal(M, [w**j for j in range(D)])
+    return M
 
 
 def Fd(D: int) -> np.ndarray:

@@ -35,12 +35,12 @@ from .constants import EPS
 from .exceptions import ErrorKind, QuantumError
 
 
-# Elements in one block of the tensordot route: 256 KiB of complex128, so
-# tensordot's transposed copy and product of a block stay within 512 KiB.
+# Elements in one block of the targets-first route: 256 KiB of complex128,
+# so a block's targets-first copy and its product stay within 512 KiB.
 _BLOCK = 1 << 14
 # numpy's batched matmul pays per batch item, so a run whose targets' side
-# k times the free side R after them is at most this takes the blocked
-# route instead.
+# k times the free side R after them is at most this takes the
+# targets-first route instead.
 _SHORT = 32
 
 
@@ -55,7 +55,8 @@ def _contract(
     t's size and shares no memory with t. The controls are split off
     first, one sector at a time; each sector's targets then take one
     matmul when they are adjacent and the output's layout lets it be
-    written in place, and run tensordot block by block otherwise.
+    written in place, and one matmul per block on a targets-first copy
+    otherwise.
     """
     out = np.empty_like(t, order="C")
     axes = list(axes)
@@ -102,7 +103,9 @@ def _into(y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[in
     Splits on the first control: sectors whose digit is in js recurse with
     that digit alone, the others are copied. Without controls, an adjacent
     target run with R elements after it is one matmul written straight into
-    y when y's layout allows it; anything else goes to :func:`_blocked_into`.
+    y when y's layout allows it. Otherwise x is split on its first free
+    (non-target) axis while it holds more than a block, and each block is
+    one matmul on a copy of it with the targets first, scattered into y.
     """
     if ctrl:
         a = ctrl[0]
@@ -127,29 +130,16 @@ def _into(y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[in
             shape = x.shape[:lo] + (k, R)
             np.matmul(G, x.reshape(shape), out=y.reshape(shape))
             return
-    _blocked_into(y, x, G, axes)
-
-
-def _blocked_into(y: np.ndarray, x: np.ndarray, G: np.ndarray, axes: list[int]) -> None:
-    """G on ``axes`` of x, written into y block by block.
-
-    Splits on the first non-target axis while x holds more than a block, so
-    each tensordot works on at most _BLOCK elements (unless every axis is a
-    target).
-    """
-    if x.size > _BLOCK and len(axes) < x.ndim:
-        a = next(b for b in range(x.ndim) if b not in axes)
+    free = [b for b in range(x.ndim) if b not in axes]
+    if x.size > _BLOCK and free:
+        a = free[0]
         sub_axes = [b - (b > a) for b in axes]
         head = (slice(None),) * a
         for i in range(x.shape[a]):
-            _blocked_into(y[head + (i,)], x[head + (i,)], G, sub_axes)
+            _into(y[head + (i,)], x[head + (i,)], Gs, sub_axes, [], js)
         return
-    s = len(axes)
-    dsub = [x.shape[a] for a in axes]
-    # tensordot puts the targets first and the other axes after them
-    rest = iter(range(s, x.ndim))
-    perm = [axes.index(b) if b in axes else next(rest) for b in range(x.ndim)]
-    y[...] = np.tensordot(G.reshape(dsub + dsub), x, (list(range(s, 2 * s)), axes)).transpose(perm)
+    xt = x.transpose(axes + free)
+    y.transpose(axes + free)[...] = (G @ xt.reshape(k, -1)).reshape(xt.shape)
 
 
 def _one_pass(dsub: int, r: int, D: int) -> bool:
@@ -346,8 +336,6 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     if is_ket:
         A = M.reshape(ds).transpose(keep + ss).reshape(dk, dt)
         return A @ A.conj().T
-    if not ss:
-        return M.copy()
     t = M.reshape(ds + ds)
     t = t.transpose(keep + ss + [n + k for k in keep] + [n + k for k in ss])
     t = t.reshape(dk, dt, dk, dt)
@@ -375,8 +363,6 @@ def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
         row = M.reshape(ds + [1] * n).transpose(axes)
         col = M.conj().reshape([1] * n + ds).transpose(axes)
         return np.multiply(row, col, order="C").reshape(D, D)
-    if not ss:
-        return M.copy()
     return M.reshape(ds + ds).transpose(axes).copy().reshape(D, D)
 
 

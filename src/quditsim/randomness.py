@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import allocate, as_int
 
 _tls = threading.local()
 
@@ -31,10 +31,9 @@ def thread_rng() -> np.random.Generator:
     return rng
 
 
-def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(
-        2.0
-    )
+def _ginibre(rows: int, cols: int, rng: np.random.Generator, op: str) -> np.ndarray:
+    real = allocate(op, rng.standard_normal, (rows, cols), np.float64)
+    return (real + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
 def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -46,7 +45,7 @@ def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     D = as_int(D, "rand_unitary", "D", 1)
     if rng is None:
         rng = thread_rng()
-    Q, R = np.linalg.qr(_ginibre(D, D, rng))
+    Q, R = np.linalg.qr(_ginibre(D, D, rng, "rand_unitary"))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
 
@@ -56,7 +55,7 @@ def rand_ket(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     D = as_int(D, "rand_ket", "D", 1)
     if rng is None:
         rng = thread_rng()
-    v = _ginibre(D, 1, rng)
+    v = _ginibre(D, 1, rng, "rand_ket")
     return v / np.linalg.norm(v)
 
 
@@ -65,7 +64,7 @@ def rand_rho(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     D = as_int(D, "rand_rho", "D", 1)
     if rng is None:
         rng = thread_rng()
-    G = _ginibre(D, D, rng)
+    G = _ginibre(D, D, rng, "rand_rho")
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
 

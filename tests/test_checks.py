@@ -9,6 +9,7 @@ from quditsim import (
     ErrorKind,
     QuantumError,
     Xd,
+    Zd,
     apply,
     bell00,
     choi2kraus,
@@ -25,6 +26,7 @@ from quditsim import (
     multiidx_to_n,
     n_to_multiidx,
     qmutualinfo,
+    rand_ket,
     rand_rho,
     rand_unitary,
     shannon,
@@ -184,6 +186,12 @@ TOO_LARGE_CASES = {
     "mket_62": ("mket", lambda: mket([0] * 62)),
     "mket_63": ("mket", lambda: mket([0] * 63)),
     "Id": ("Id", lambda: gt.Id(2**40)),
+    "Xd": ("Xd", lambda: Xd(2**40)),
+    # fails before it builds anything of length D
+    "Zd": ("Zd", lambda: Zd(2**62)),
+    "rand_ket": ("rand_ket", lambda: rand_ket(2**62, default_rng(0))),
+    "rand_unitary": ("rand_unitary", lambda: rand_unitary(2**40, default_rng(0))),
+    "rand_rho": ("rand_rho", lambda: rand_rho(2**40, default_rng(0))),
 }
 
 

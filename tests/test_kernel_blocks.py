@@ -3,11 +3,12 @@
 The property tests stay at or below 2^14 entries, one block of the
 kernel; here every state is larger, so every route runs: the control
 sector split (sectors where the controls read j get U^j, the others are
-copied), the block loop with its short runs after the targets, and the
+copied), the split into blocks with one matmul each on a targets-first
+copy (non-adjacent targets, or short runs after the targets), and the
 two matmul layouts an adjacent target run takes when the output's slice
 is contiguous (the run last, or the run followed by a longer tail). Each
-result is checked against ``ref_contract``, one tensordot over the whole
-tensor.
+result is checked against ``ref_contract``, an independent oracle: one
+tensordot over the whole tensor.
 """
 
 import tracemalloc
@@ -139,4 +140,25 @@ def test_apply_allocates_one_output(dims, ctrl, target):
     assert peak <= psi.nbytes + 2**20
     d = dims[ctrl[0]] if ctrl else 2
     want = ref_contract(psi.reshape(dims), G, target, ctrl, d).reshape(-1, 1)
+    assert np.abs(out - want).max() < TOL
+
+
+def test_channel_on_rho_allocates_one_output():
+    # amplitude damping on qubit 4 of a 512 x 512 rho: the one-pass route,
+    # whose 4 x 4 superoperator acts on one row and one column axis, so
+    # every block runs the targets-first matmul
+    dims = [2] * 9
+    rho = rand_rho(512, default_rng(45))
+    g = 0.3
+    Ks = [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
+    apply_channel(rho, Ks, [4], dims)  # first call: numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        out = apply_channel(rho, Ks, [4], dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rho.nbytes + 2**20
+    t = rho.reshape(dims + dims)
+    want = sum(_ref_conjugate(t, K, [4]) for K in Ks).reshape(512, 512)
     assert np.abs(out - want).max() < TOL
