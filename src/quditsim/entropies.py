@@ -57,8 +57,9 @@ def entropy(rho) -> float:
 def qmutualinfo(rho, A: Sequence[int], B: Sequence[int], dims: Sequence[int]) -> float:
     """Quantum mutual information S(rho_A) + S(rho_B) - S(rho_AB).
 
-    Each reduced state is obtained by tracing out the complement of the
-    corresponding index set. ``rho`` may be a density matrix or a ket.
+    The state is reduced once, to rho_AB over A | B in index order, and
+    rho_A and rho_B are partial traces of that smaller rho_AB. ``rho`` may
+    be a density matrix or a ket.
     """
     op = "qmutualinfo"
     ds = check_dims(dims, op)
@@ -69,9 +70,10 @@ def qmutualinfo(rho, A: Sequence[int], B: Sequence[int], dims: Sequence[int]) ->
     if set(sa) & set(sb):
         raise QuantumError(ErrorKind.SUBSYS_MISMATCH_DIMS, op, "index sets overlap")
 
-    def reduced(kept: set[int]):
-        out = [k for k in range(n) if k not in kept]
-        return ptrace(M, out, ds) if out else M
-
-    a, b = set(sa), set(sb)
-    return _entropy(reduced(a), op) + _entropy(reduced(b), op) - _entropy(reduced(a | b), op)
+    ab = sorted(sa + sb)
+    out = [k for k in range(n) if k not in ab]
+    rho_ab = ptrace(M, out, ds) if out else M
+    local = [ds[k] for k in ab]
+    rho_a = ptrace(rho_ab, [i for i, k in enumerate(ab) if k in sb], local)
+    rho_b = ptrace(rho_ab, [i for i, k in enumerate(ab) if k in sa], local)
+    return _entropy(rho_a, op) + _entropy(rho_b, op) - _entropy(rho_ab, op)

@@ -320,9 +320,12 @@ def choi2kraus(J) -> list[np.ndarray]:
 def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Trace OUT the listed subsystems of a density matrix or a ket.
 
-    The remaining subsystems keep their relative order. A ket psi gives
-    A A^dag, with A the (kept, traced) matrix of its amplitudes, so its
-    D x D projector is never formed.
+    The remaining subsystems keep their relative order. A density matrix
+    is summed over a strided view of its traced diagonal, so only the
+    entries that enter the sum are read and only the result is allocated
+    (a copy of rho when nothing is traced). A ket psi gives A A^dag, with
+    A the (kept, traced) matrix of its amplitudes, so its D x D projector
+    is never formed.
     """
     op = "ptrace"
     ds = check_dims(dims, op)
@@ -336,10 +339,14 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     if is_ket:
         A = M.reshape(ds).transpose(keep + ss).reshape(dk, dt)
         return A @ A.conj().T
-    t = M.reshape(ds + ds)
-    t = t.transpose(keep + ss + [n + k for k in keep] + [n + k for k in ss])
-    t = t.reshape(dk, dt, dk, dt)
-    return np.einsum("icjc->ij", t)
+    # a traced subsystem's column axis takes its row axis's label, so einsum
+    # sums a strided diagonal view of rho. The labels stay below 2n <= 50,
+    # within einsum's 52: rho over 26 or more subsystems would hold at
+    # least 2^52 entries.
+    cols = [k if k in ss else n + k for k in range(n)]
+    out = np.einsum(M.reshape(ds + ds), list(range(n)) + cols, keep + [n + k for k in keep])
+    out = out.reshape(dk, dk)
+    return out if ss else out.copy()  # with nothing traced, out is a view of rho
 
 
 def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:

@@ -5,8 +5,9 @@ loops, kron embeddings, exact symbolic eigenvalues) and deliberately
 avoids the code paths under test.
 """
 
+import tracemalloc
 from itertools import product
-from math import prod
+from math import log2, prod
 
 import numpy as np
 
@@ -42,6 +43,33 @@ def ref_ptrace(rho, subsys, dims):
         for j, mj in enumerate(kept_digits):
             out[i, j] = sum(rho[lin(mi, t), lin(mj, t)] for t in traced_digits)
     return out
+
+
+def ref_qmutualinfo(rho, A, B, dims):
+    """S(rho_A) + S(rho_B) - S(rho_AB), each reduced state by ``ref_ptrace``
+    of the full state (a ket as its projector) and each entropy from
+    eigenvalues."""
+    M = np.asarray(rho, dtype=complex)
+    if M.shape[1] == 1:
+        M = M @ M.conj().T
+
+    def S(kept):
+        red = ref_ptrace(M, [k for k in range(len(dims)) if k not in kept], dims)
+        return -sum(x * log2(x) for x in np.linalg.eigvalsh(red) if x > 1e-14)
+
+    return S(set(A)) + S(set(B)) - S(set(A) | set(B))
+
+
+def peak_bytes(fn, *args):
+    """(fn(*args), the peak of the bytes allocated during the call, as
+    tracemalloc counts them)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def ref_ptranspose(rho, subsys, dims):

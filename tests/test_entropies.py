@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import ref_qmutualinfo
 from quditsim import (
     ErrorKind,
     QuantumError,
@@ -155,3 +156,69 @@ def test_qmutualinfo_multi_index_groups():
     rho = psi @ psi.conj().T
     sb = entropy(ptrace(rho, [0, 1], [2, 2, 2]))
     assert abs(qmutualinfo(rho, [0, 1], [2], [2, 2, 2]) - 2 * sb) < 1e-9
+
+
+@pytest.mark.parametrize("is_ket", [False, True], ids=["rho", "ket"])
+def test_qmutualinfo_matches_reference(is_ket):
+    rng = default_rng(10)
+    dims = [2, 3, 2, 2]
+    state = rand_ket(24, rng) if is_ket else rand_rho(24, rng)
+    groups = [
+        ([0], [2]),  # subsystems 1 and 3 traced out
+        ([3], [1, 0]),
+        ([2, 0], [3, 1]),  # A | B is every subsystem
+        ([3, 2, 1], [0]),
+        ([1], [3]),
+    ]
+    for A, B in groups:
+        want = ref_qmutualinfo(state, A, B, dims)
+        assert abs(qmutualinfo(state, A, B, dims) - want) < 1e-9
+
+
+def _with_b_only_entry(M, v):
+    # the entry between |000> and |100>: of the reduced states, only rho_B
+    # (subsystem 0) sums it
+    M = np.array(M, dtype=complex)
+    M[0, 4] = v
+    return M
+
+
+_ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
+_NAN_KET = kron(bell00(), np.array([[1.0], [0.0]]))
+_NAN_KET[3, 0] = np.nan
+# (state on three qubits, A, B, the detail at the first failing check)
+_BAD_INPUTS = {
+    "not_hermitian": (
+        _with_b_only_entry(np.eye(8) / 8, 0.5), [2], [0],
+        "matrix is not Hermitian: error 0.5, tolerance 1e-12",
+    ),
+    # rho_A = diag(1.5, -0.5) fails before the non-Hermitian rho_B
+    "a_checked_before_b": (
+        _with_b_only_entry(np.diag([0.375, -0.125] * 4), 0.5), [2], [0],
+        "matrix is not positive semidefinite: error 0.5, tolerance 1e-10",
+    ),
+    # rho_A = rho_B = I/2, but rho_AB = I/4 + Z x Z / 2 has eigenvalue -1/4
+    "ab_not_psd": (
+        kron(np.eye(4) / 4 + _ZZ / 2, np.eye(2) / 2), [1], [0],
+        "matrix is not positive semidefinite: error 0.25, tolerance 1e-10",
+    ),
+    "nan_in_b_only": (
+        _with_b_only_entry(np.eye(8) / 8, np.nan), [2], [0],
+        "matrix is not Hermitian: error nan, tolerance 1e-12",
+    ),
+    "nan_ket": (_NAN_KET, [0], [1], "matrix is not Hermitian: error nan, tolerance 1e-12"),
+    "ket_of_norm_2": (
+        2 * kron(bell00(), np.array([[0.6], [0.8]])), [2, 1], [0],
+        "trace is not 1: error 3, tolerance 1e-06",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUTS))
+def test_qmutualinfo_rejects_bad_states_at_the_first_failing_check(name):
+    state, A, B, detail = _BAD_INPUTS[name]
+    with pytest.raises(QuantumError) as ei:
+        qmutualinfo(state, A, B, [2, 2, 2])
+    assert ei.value.kind is ErrorKind.DIMS_INVALID
+    assert ei.value.op == "qmutualinfo"
+    assert ei.value.detail == detail

@@ -11,13 +11,12 @@ result is checked against ``ref_contract``, an independent oracle: one
 tensordot over the whole tensor.
 """
 
-import tracemalloc
 from math import prod
 
 import numpy as np
 import pytest
 
-from _oracles import rand_cptp, ref_contract
+from _oracles import peak_bytes, rand_cptp, ref_contract
 from quditsim import apply, apply_channel, apply_ctrl, default_rng, rand_ket, rand_rho
 
 # 110592 amplitudes; qubits at 1, 3, 5, 6, 8, 9, 11, 12, qutrits at 0, 4, 10
@@ -129,12 +128,7 @@ def test_apply_allocates_one_output(dims, ctrl, target):
         return apply(psi, G, target, dims)
 
     call()  # first call: numpy's lazy set-up
-    tracemalloc.start()
-    try:
-        out = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(call)
     # the result plus cache-sized blocks; a full-state temporary would
     # add another copy of the state
     assert peak <= psi.nbytes + 2**20
@@ -152,12 +146,7 @@ def test_channel_on_rho_allocates_one_output():
     g = 0.3
     Ks = [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
     apply_channel(rho, Ks, [4], dims)  # first call: numpy's lazy set-up
-    tracemalloc.start()
-    try:
-        out = apply_channel(rho, Ks, [4], dims)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(apply_channel, rho, Ks, [4], dims)
     assert peak <= rho.nbytes + 2**20
     t = rho.reshape(dims + dims)
     want = sum(_ref_conjugate(t, K, [4]) for K in Ks).reshape(512, 512)

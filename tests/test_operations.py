@@ -1,4 +1,3 @@
-import tracemalloc
 from itertools import permutations
 from math import prod, sqrt
 
@@ -24,6 +23,7 @@ from quditsim import (
     norm,
     ptrace,
     ptranspose,
+    qmutualinfo,
     rand_ket,
     rand_perm,
     rand_rho,
@@ -40,6 +40,7 @@ from _oracles import (
     channel_on_basis,
     embed_ctrl,
     embed_operator,
+    peak_bytes,
     rand_cptp,
     ref_ctrl_gate,
     ref_ptrace,
@@ -497,12 +498,7 @@ def test_ptrace_of_ket_never_forms_the_projector():
     n = 11
     psi = rand_ket(2**n, default_rng(23))
     subsys = list(range(1, n))
-    tracemalloc.start()
-    try:
-        out = ptrace(psi, subsys, [2] * n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(ptrace, psi, subsys, [2] * n)
     assert peak < 2**20  # the 2048 x 2048 projector alone is 64 MiB
     want = ref_ptrace(psi @ psi.conj().T, subsys, [2] * n)
     assert np.abs(out - want).max() < 1e-12
@@ -517,6 +513,29 @@ def test_ptrace_matches_reference_on_mixed_dims():
         want = ref_ptrace(rho, subsys, dims)
         assert np.abs(got - want).max() < 1e-12
         assert abs(np.trace(got) - np.trace(rho)) < 1e-12
+    # a complex matrix that is not Hermitian, so a row index summed against
+    # a column index of another subsystem would show
+    dims = [3, 2, 2, 3]
+    M = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    for subsys in ([], [1], [3], [2, 0], [0, 3], [3, 1, 0], [2, 3, 1, 0]):
+        got = ptrace(M, subsys, dims)
+        want = ref_ptrace(M, subsys, dims)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_ptrace_of_rho_never_copies_rho():
+    # a 10-qubit rho is 16 MiB; a 2 x 2 or 4 x 4 result needs 256 bytes
+    n = 10
+    dims = [2] * n
+    rho = rand_rho(2**n, default_rng(26))
+    for kept in ([4], [1, 6]):
+        subsys = [k for k in range(n) if k not in kept]
+        out, peak = peak_bytes(ptrace, rho, subsys, dims)
+        assert peak < 2**16
+        assert np.abs(out - ref_ptrace(rho, subsys, dims)).max() < 1e-12
+    _, peak = peak_bytes(qmutualinfo, rho, [4], [9], dims)
+    assert peak < 2**20
 
 
 def test_ptranspose_bell_spectrum():
@@ -550,12 +569,7 @@ def test_ptranspose_of_ket_writes_its_projector_once():
     n = 10
     psi = rand_ket(2**n, default_rng(25))
     subsys = [1, 4, 7]
-    tracemalloc.start()
-    try:
-        out = ptranspose(psi, subsys, [2] * n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(ptranspose, psi, subsys, [2] * n)
     assert peak <= 1.1 * out.nbytes  # a second D x D copy would double it
     assert np.abs(out - ptranspose(psi @ psi.conj().T, subsys, [2] * n)).max() < 1e-15
 
