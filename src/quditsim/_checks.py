@@ -90,9 +90,13 @@ def as_matrix(A, op: str) -> np.ndarray:
     """Coerce to a nonempty 2-D complex128 array; 1-D input becomes a column.
 
     A complex128 input is returned as is or as a view, so callers must
-    neither write the result nor return it without a copy.
+    neither write the result nor return it without a copy. Input numpy
+    cannot read as complex numbers is ``DIMS_INVALID``.
     """
-    M = np.asarray(A, dtype=np.complex128)
+    try:
+        M = np.asarray(A, dtype=np.complex128)
+    except (TypeError, ValueError) as err:
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, f"not a complex array: {err}") from None
     if M.ndim == 1:
         M = M.reshape(-1, 1)
     if M.ndim != 2:
@@ -132,18 +136,37 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def dims_error(err: Exception, dims, op: str) -> QuantumError:
+    """The error, named for ``op``, of dims that ``_dims_info(*dims)`` rejected
+    with ``err``: its own QuantumError, or the TypeError of dims that are not
+    a sequence of hashable entries."""
+    if isinstance(err, QuantumError):
+        return QuantumError(err.kind, op, err.detail)
+    return QuantumError(ErrorKind.DIMS_INVALID, op, f"dims={dims!r} is not a sequence of integers")
+
+
 def check_dims(dims: Sequence[int], op: str) -> list[int]:
     """Validate a subsystem-dimension list: nonempty, integers >= 2, length <= MAXN."""
     try:
         ds, _ = _dims_info(*dims)
-    except QuantumError as err:
-        raise QuantumError(err.kind, op, err.detail) from None
+    except (QuantumError, TypeError) as err:
+        raise dims_error(err, dims, op) from None
     return list(ds)
+
+
+def as_ints(xs: Sequence[int], op: str, what: str) -> list[int]:
+    """Each entry of the index list xs through :func:`as_int`; xs that is not
+    iterable is OUT_OF_RANGE, as a non-integer entry is."""
+    try:
+        return [as_int(x, op, what) for x in xs]
+    except TypeError:
+        detail = f"{what} list {xs!r} is not a sequence"
+        raise QuantumError(ErrorKind.OUT_OF_RANGE, op, detail) from None
 
 
 def check_subsys(subsys: Sequence[int], n: int, op: str, allow_empty: bool = False) -> list[int]:
     """Validate a subsystem index list against an n-part composite space."""
-    ss = [as_int(k, op, "subsystem index") for k in subsys]
+    ss = as_ints(subsys, op, "subsystem index")
     if not ss:
         if allow_empty:
             return ss
@@ -181,13 +204,16 @@ def ctrl_targets(op: str, side: int, ctrl, target, ds: list[int]) -> tuple[list[
     return cc, tt
 
 
-def as_state(state, D: int, op: str) -> tuple[np.ndarray, bool]:
-    """Validate a ket (D x 1) or square matrix (D x D); returns (array, is_ket)."""
+def as_state(state, dims: Sequence[int], op: str) -> tuple[np.ndarray, list[int], bool]:
+    """Validate ``dims`` and a ket (D x 1) or square matrix (D x D) over them,
+    D = prod(dims); returns (array, validated dims, is_ket)."""
+    ds = check_dims(dims, op)
+    D = prod(ds)
     M = as_matrix(state, op)
     if M.shape == (D, 1):
-        return M, True
+        return M, ds, True
     if M.shape == (D, D):
-        return M, False
+        return M, ds, False
     raise QuantumError(
         ErrorKind.NOT_SQUARE_NOR_KET, op, f"shape {M.shape} for total dimension {D}"
     )

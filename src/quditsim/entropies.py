@@ -6,7 +6,7 @@ one bit. The 0*log(0) terms are dropped via the zero-comparison tolerance.
 
 from __future__ import annotations
 
-from math import log2, prod
+from math import log2
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +16,6 @@ from ._checks import (
     TRACE_TOL,
     as_matrix,
     as_state,
-    check_dims,
     check_subsys,
     hermitian_part,
     within,
@@ -62,8 +61,7 @@ def qmutualinfo(rho, A: Sequence[int], B: Sequence[int], dims: Sequence[int]) ->
     be a density matrix or a ket.
     """
     op = "qmutualinfo"
-    ds = check_dims(dims, op)
-    M, _ = as_state(rho, prod(ds), op)
+    M, ds, _ = as_state(rho, dims, op)
     n = len(ds)
     sa = check_subsys(A, n, op)
     sb = check_subsys(B, n, op)

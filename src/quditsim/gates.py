@@ -33,21 +33,29 @@ def Xd(D: int) -> np.ndarray:
     return M
 
 
+def _roots(D: int) -> np.ndarray:
+    """w^j for j < D, w = omega(D): Python powers, each within an ulp or so."""
+    w = omega(D)
+    return np.array([w**j for j in range(D)])
+
+
 def Zd(D: int) -> np.ndarray:
     """Clock gate diag(1, w, w^2, ...), w the D-th root of unity."""
     D = as_int(D, "Zd", "D", 2, kind=ErrorKind.DIMS_INVALID)
     M = allocate("Zd", np.zeros, (D, D))
-    w = omega(D)
-    np.fill_diagonal(M, [w**j for j in range(D)])
+    np.fill_diagonal(M, _roots(D))
     return M
 
 
 def Fd(D: int) -> np.ndarray:
-    """Fourier gate F[j, k] = w^(j*k)/sqrt(D); reduces to Hadamard for D=2."""
+    """Fourier gate F[j, k] = w^(j*k mod D)/sqrt(D), from the clock gate's
+    table of powers; reduces to Hadamard for D=2."""
     D = as_int(D, "Fd", "D", 2, kind=ErrorKind.DIMS_INVALID)
-    w = omega(D)
-    j, k = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
-    return w ** (j * k) / sqrt(D)
+    F = allocate("Fd", np.empty, (D, D))
+    j = np.arange(D)
+    # mode="wrap" reads index j*k mod D, and writes F unbuffered
+    np.take(_roots(D) / sqrt(D), np.outer(j, j), out=F, mode="wrap")
+    return F
 
 
 def ctrl_gate(

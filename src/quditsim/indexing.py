@@ -6,26 +6,35 @@ linear index 2.
 
 The converters are pure-Python helpers for callers that label basis
 states; the kernels index through numpy reshapes and never call them.
-The per-dims validation they share is memoized on the dimension tuple;
-digits and indices go through ``as_int`` unless they are plain ints.
+The per-dims validation they share is memoized on the dimension tuple and
+costs them no extra call: its errors are renamed for the converter only
+once raised. Digits and indices go through ``as_int`` unless they are
+plain ints.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
-from ._checks import _dims_info, as_int
+from ._checks import _dims_info, as_int, check_dims, dims_error
 from .exceptions import ErrorKind, QuantumError
 
 
 def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
     """Linear index of a multi-index: n = sum_k midx[k] * prod_{j>k} dims[j]."""
-    ds, _ = _dims_info(*dims)
-    if len(midx) != len(ds):
+    try:
+        ds, _ = _dims_info(*dims)
+    except (QuantumError, TypeError) as err:
+        raise dims_error(err, dims, "multiidx_to_n") from None
+    try:
+        k = len(midx)
+    except TypeError:
+        detail = f"digit list {midx!r} is not a sequence"
+        raise QuantumError(ErrorKind.OUT_OF_RANGE, "multiidx_to_n", detail) from None
+    if k != len(ds):
         raise QuantumError(
-            ErrorKind.SUBSYS_MISMATCH_DIMS,
-            "multiidx_to_n",
-            f"{len(midx)} digits for {len(ds)} subsystems",
+            ErrorKind.SUBSYS_MISMATCH_DIMS, "multiidx_to_n", f"{k} digits for {len(ds)} subsystems"
         )
     n = 0
     for digit, d in zip(midx, ds):
@@ -41,7 +50,10 @@ def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
 
 def n_to_multiidx(n: int, dims: Sequence[int]) -> list[int]:
     """Inverse of :func:`multiidx_to_n`."""
-    ds, total = _dims_info(*dims)
+    try:
+        ds, total = _dims_info(*dims)
+    except (QuantumError, TypeError) as err:
+        raise dims_error(err, dims, "n_to_multiidx") from None
     if type(n) is not int:
         n = as_int(n, "n_to_multiidx", "n")
     if not 0 <= n < total:
@@ -54,7 +66,7 @@ def n_to_multiidx(n: int, dims: Sequence[int]) -> list[int]:
 
 def validate_dims(dims: Sequence[int], total: int) -> None:
     """Check that ``dims`` is a valid decomposition of a space of size ``total``."""
-    _, p = _dims_info(*dims)
+    p = prod(check_dims(dims, "validate_dims"))
     if p != as_int(total, "validate_dims", "total"):
         raise QuantumError(
             ErrorKind.DIMS_MISMATCH_MATRIX, "validate_dims", f"prod(dims)={p} != {total}"

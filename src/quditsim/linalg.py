@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import as_int, as_matrix, as_square, hermitian_part
+from ._checks import allocate, as_int, as_matrix, as_square, hermitian_part
 
 
 def transpose(A) -> np.ndarray:
@@ -22,7 +22,7 @@ def transpose(A) -> np.ndarray:
 def adjoint(A) -> np.ndarray:
     """Conjugate transpose."""
     M = as_matrix(A, "adjoint")
-    return M.conj().T.copy()
+    return np.conjugate(M.T, order="C")
 
 
 def trace(A) -> complex:
@@ -36,21 +36,37 @@ def norm(A) -> float:
     return float(np.linalg.norm(M))
 
 
+def _kron_into(out: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron(A, B), entry for entry, written into ``out`` of its shape."""
+    (ra, ca), (rb, cb) = A.shape, B.shape
+    np.multiply(A[:, None, :, None], B[None, :, None, :], out=out.reshape(ra, rb, ca, cb))
+    return out
+
+
 def kron(A, B) -> np.ndarray:
     """Kronecker (tensor) product."""
     MA = as_matrix(A, "kron")
     MB = as_matrix(B, "kron")
-    return np.kron(MA, MB)
+    shape = (MA.shape[0] * MB.shape[0], MA.shape[1] * MB.shape[1])
+    return _kron_into(allocate("kron", np.empty, shape), MA, MB)
 
 
 def kron_pow(A, n: int) -> np.ndarray:
-    """n-fold Kronecker power A (x) A (x) ... (n >= 1 factors)."""
+    """n-fold Kronecker power A (x) A (x) ... (n >= 1 factors).
+
+    The result is allocated first, so a power too large to hold fails
+    before any intermediate power is built.
+    """
     M = as_matrix(A, "kron_pow")
     n = as_int(n, "kron_pow", "n", 1)
-    out = M.copy()
-    for _ in range(n - 1):
-        out = np.kron(out, M)
-    return out
+    out = allocate("kron_pow", np.empty, (M.shape[0] ** n, M.shape[1] ** n))
+    if n == 1:
+        out[...] = M
+        return out
+    P = M
+    for _ in range(n - 2):
+        P = np.kron(P, M)
+    return _kron_into(out, P, M)
 
 
 def hevals(H) -> np.ndarray:

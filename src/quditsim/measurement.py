@@ -7,15 +7,14 @@ measurement of everything leaves the trivial one-dimensional state [[1]].
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import TRACE_TOL, _targets, as_square, as_state, check_dims, within
+from ._checks import TRACE_TOL, _targets, as_square, as_state, within
 from .constants import EPS
 from .exceptions import ErrorKind
-from .randomness import thread_rng
+from .randomness import _as_rng
 
 
 class MeasurementOutcome(NamedTuple):
@@ -97,9 +96,7 @@ def measure(
         unmeasured subsystems given that outcome.
     """
     op = "measure"
-    ds = check_dims(dims, op)
-    D = prod(ds)
-    M, is_ket = as_state(state, D, op)
+    M, ds, is_ket = as_state(state, dims, op)
     B = as_square(basis, op)
     ss = _targets(op, B.shape[0], subsys, ds, "basis", "measured")
     Dsub = B.shape[0]
@@ -116,11 +113,10 @@ def measure(
             mod2 = v.real**2 + v.imag**2
             err = np.abs(mod2 - 1).max()
     within(err, EPS, op, "basis columns not orthonormal", ErrorKind.DIMS_MISMATCH_MATRIX)
-    if rng is None:
-        rng = thread_rng()
+    rng = _as_rng(rng, op)
 
     n = len(ds)
-    rest = D // Dsub
+    rest = M.shape[0] // Dsub
     order = ss + [k for k in range(n) if k not in ss]
     if rows is not None:
         # B^dag maps e_rows[i] to conj(v_i) e_i: outcome i gathers the digits

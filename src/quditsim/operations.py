@@ -22,6 +22,7 @@ from ._checks import (
     _targets,
     allocate,
     as_int,
+    as_ints,
     as_matrix,
     as_square,
     as_state,
@@ -87,12 +88,26 @@ def _controlled(G: np.ndarray, dims: list[int], ctrl: list[int], target: list[in
     return _contract(eye, G, target, ctrl).reshape(k, k)
 
 
+def _kraus_sum(Ks: Sequence[np.ndarray], op: str) -> np.ndarray:
+    """J = sum_i vec(K_i) vec(K_i)^dag for column-stacking vec: one gemm V V^dag,
+    V's columns the vec(K_i), into a J allocated before V."""
+    D = Ks[0].shape[0]
+    J = allocate(op, np.empty, (D * D, D * D))
+    V = np.stack([K.T for K in Ks], axis=-1).reshape(D * D, -1)
+    np.matmul(V, V.conj().T, out=J)
+    return J
+
+
 def _super(Ks: Sequence[np.ndarray]) -> np.ndarray:
     """S = sum_i kron(conj(K_i), K_i): vec(sum_i K_i rho K_i^dag) == S vec(rho)
-    for column-stacking vec, so conj(K_i) acts on rho's column index."""
-    S = np.kron(Ks[0].conj(), Ks[0])
-    for K in Ks[1:]:
-        S += np.kron(K.conj(), K)
+    for column-stacking vec, so conj(K_i) acts on rho's column index. As
+    K[a, b] is entry b D + a of vec(K), S[(a, c), (b, d)] = J[(d, c), (b, a)]
+    for J = :func:`_kraus_sum`. Only ``kraus2super`` can ask for an S too
+    large to allocate: :func:`_channel`'s is no larger than rho."""
+    D = Ks[0].shape[0]
+    S = allocate("kraus2super", np.empty, (D * D, D * D))
+    J = _kraus_sum(Ks, "kraus2super").reshape(D, D, D, D)
+    S.reshape(D, D, D, D)[...] = J.transpose(3, 1, 2, 0)
     return S
 
 
@@ -202,8 +217,7 @@ def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
         A ket for ket input, a square matrix for matrix input.
     """
     op = "apply"
-    ds = check_dims(dims, op)
-    M, _ = as_state(state, prod(ds), op)
+    M, ds, _ = as_state(state, dims, op)
     G = as_square(U, op)
     return _apply(M, G, ds, _targets(op, G.shape[0], subsys, ds, "operator"))
 
@@ -218,8 +232,7 @@ def apply_ctrl(
     configuration is left alone. Works on kets and density matrices.
     """
     op = "apply_ctrl"
-    ds = check_dims(dims, op)
-    M, _ = as_state(state, prod(ds), op)
+    M, ds, _ = as_state(state, dims, op)
     G = as_square(U, op)
     cc, tt = ctrl_targets(op, G.shape[0], ctrl, target, ds)
     return _apply(M, G, ds, tt, cc)
@@ -242,8 +255,7 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
     """
     op = "apply_channel"
     ops = _check_kraus(Ks, op)
-    ds = check_dims(dims, op)
-    M, is_ket = as_state(rho, prod(ds), op)
+    M, ds, is_ket = as_state(rho, dims, op)
     if is_ket:
         raise QuantumError(ErrorKind.MATRIX_NOT_SQUARE, op, "a ket is not promoted to rho")
     ss = _targets(op, ops[0].shape[0], subsys, ds, "Kraus")
@@ -253,7 +265,7 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
 def vec(A) -> np.ndarray:
     """Column-stacking vectorization of a matrix, as a column vector."""
     M = as_matrix(A, "vec")
-    return M.reshape(-1, 1, order="F").copy()
+    return M.flatten(order="F").reshape(-1, 1)
 
 
 def unvec(v, rows: int | None = None) -> np.ndarray:
@@ -286,13 +298,7 @@ def kraus2choi(Ks) -> np.ndarray:
     J is Hermitian PSD; for a trace-preserving channel trace(J) equals the
     space dimension D.
     """
-    ops = _check_kraus(Ks, "kraus2choi")
-    D = ops[0].shape[0]
-    J = np.zeros((D * D, D * D), dtype=np.complex128)
-    for K in ops:
-        v = K.reshape(-1, 1, order="F")
-        J += v @ v.conj().T
-    return J
+    return _kraus_sum(_check_kraus(Ks, "kraus2choi"), "kraus2choi")
 
 
 def choi2kraus(J) -> list[np.ndarray]:
@@ -328,9 +334,7 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     is never formed.
     """
     op = "ptrace"
-    ds = check_dims(dims, op)
-    D = prod(ds)
-    M, is_ket = as_state(rho, D, op)
+    M, ds, is_ket = as_state(rho, dims, op)
     ss = check_subsys(subsys, len(ds), op, allow_empty=True)
     n = len(ds)
     keep = [k for k in range(n) if k not in set(ss)]
@@ -356,20 +360,20 @@ def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     layout.
     """
     op = "ptranspose"
-    ds = check_dims(dims, op)
-    D = prod(ds)
-    M, is_ket = as_state(rho, D, op)
+    M, ds, is_ket = as_state(rho, dims, op)
     ss = check_subsys(subsys, len(ds), op, allow_empty=True)
-    n = len(ds)
+    n, D = len(ds), M.shape[0]
     axes = list(range(2 * n))
     for k in ss:
         axes[k], axes[n + k] = axes[n + k], axes[k]
     if is_ket:
         # psi on the row axes times conj(psi) on the column axes, each with
         # the listed subsystems' row and column axes swapped
+        out = allocate(op, np.empty, (D, D))
         row = M.reshape(ds + [1] * n).transpose(axes)
         col = M.conj().reshape([1] * n + ds).transpose(axes)
-        return np.multiply(row, col, order="C").reshape(D, D)
+        np.multiply(row, col, out=out.reshape(ds + ds))
+        return out
     return M.reshape(ds + ds).transpose(axes).copy().reshape(D, D)
 
 
@@ -383,7 +387,7 @@ def invperm(perm: Sequence[int]) -> list[int]:
 
 
 def _check_perm(perm: Sequence[int], op: str) -> list[int]:
-    p = [as_int(x, op, "permutation entry") for x in perm]
+    p = as_ints(perm, op, "permutation entry")
     if len(p) == 0 or sorted(p) != list(range(len(p))):
         raise QuantumError(ErrorKind.PERM_INVALID, op, f"{p}")
     return p
@@ -405,12 +409,11 @@ def syspermute(state, perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:
             op,
             f"permutation length {len(p)} != {len(ds)} subsystems",
         )
-    D = prod(ds)
-    M, is_ket = as_state(state, D, op)
+    M, _, is_ket = as_state(state, ds, op)
     n = len(ds)
-    # output axis j holds input axis invperm(p)[j]
-    src = invperm(p)
+    # output axis j holds input axis src[j], the k with p[k] == j
+    src = sorted(range(n), key=p.__getitem__)
     if is_ket:
         return M.reshape(ds).transpose(src).copy().reshape(-1, 1)
     axes = src + [n + k for k in src]
-    return M.reshape(ds + ds).transpose(axes).copy().reshape(D, D)
+    return M.reshape(ds + ds).transpose(axes).copy().reshape(M.shape)

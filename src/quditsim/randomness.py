@@ -13,6 +13,7 @@ import threading
 import numpy as np
 
 from ._checks import allocate, as_int
+from .exceptions import ErrorKind, QuantumError
 
 _tls = threading.local()
 
@@ -31,6 +32,17 @@ def thread_rng() -> np.random.Generator:
     return rng
 
 
+def _as_rng(rng, op: str) -> np.random.Generator:
+    """rng, or the calling thread's generator when it is None; anything but
+    a ``numpy.random.Generator`` is OUT_OF_RANGE."""
+    if rng is None:
+        return thread_rng()
+    if not isinstance(rng, np.random.Generator):
+        detail = f"rng={rng!r} is not a numpy.random.Generator"
+        raise QuantumError(ErrorKind.OUT_OF_RANGE, op, detail)
+    return rng
+
+
 def _ginibre(rows: int, cols: int, rng: np.random.Generator, op: str) -> np.ndarray:
     real = allocate(op, rng.standard_normal, (rows, cols), np.float64)
     return (real + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
@@ -43,8 +55,7 @@ def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     of R's diagonal; without that phase fix plain QR is not Haar.
     """
     D = as_int(D, "rand_unitary", "D", 1)
-    if rng is None:
-        rng = thread_rng()
+    rng = _as_rng(rng, "rand_unitary")
     Q, R = np.linalg.qr(_ginibre(D, D, rng, "rand_unitary"))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
@@ -53,8 +64,7 @@ def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
 def rand_ket(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Haar-uniform pure state: normalized vector of i.i.d. complex Gaussians."""
     D = as_int(D, "rand_ket", "D", 1)
-    if rng is None:
-        rng = thread_rng()
+    rng = _as_rng(rng, "rand_ket")
     v = _ginibre(D, 1, rng, "rand_ket")
     return v / np.linalg.norm(v)
 
@@ -62,8 +72,7 @@ def rand_ket(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
 def rand_rho(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Random density matrix G G^dag / trace(G G^dag) for Ginibre G."""
     D = as_int(D, "rand_rho", "D", 1)
-    if rng is None:
-        rng = thread_rng()
+    rng = _as_rng(rng, "rand_rho")
     G = _ginibre(D, D, rng, "rand_rho")
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
@@ -72,6 +81,5 @@ def rand_rho(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
 def rand_perm(n: int, rng: np.random.Generator | None = None) -> list[int]:
     """Uniformly random permutation of {0, ..., n-1} (Fisher-Yates shuffle)."""
     n = as_int(n, "rand_perm", "n", 1)
-    if rng is None:
-        rng = thread_rng()
+    rng = _as_rng(rng, "rand_perm")
     return [int(k) for k in rng.permutation(n)]

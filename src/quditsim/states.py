@@ -12,16 +12,28 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, allocate, as_int, check_dims
+from ._checks import _frozen, allocate, as_int, as_ints, check_dims
 from .exceptions import QuantumError
 from .indexing import multiidx_to_n
 from .linalg import kron_pow
 
 
-def _basis_ket(D: int, j: int) -> np.ndarray:
-    v = np.zeros((D, 1), dtype=np.complex128)
-    v[j, 0] = 1.0
-    return v
+def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray:
+    """Computational-basis ket |digits> over the given subsystem dimensions.
+
+    With ``dims`` omitted every subsystem is a qubit. The amplitude 1 sits
+    at the row-major linear index of ``digits``.
+    """
+    if dims is None:
+        digits = as_ints(digits, "mket", "digit")
+        dims = [2] * len(digits)
+    ds = check_dims(dims, "mket")
+    ket = allocate("mket", np.zeros, (prod(ds), 1))
+    try:
+        ket[multiidx_to_n(digits, ds), 0] = 1.0
+    except QuantumError as err:
+        raise QuantumError(err.kind, "mket", err.detail) from None
+    return ket
 
 
 class StatesRegistry:
@@ -37,8 +49,8 @@ class StatesRegistry:
 
     def __init__(self):
         s = 1 / sqrt(2)
-        self.z0 = _frozen(_basis_ket(2, 0))
-        self.z1 = _frozen(_basis_ket(2, 1))
+        self.z0 = _frozen(mket([0]))
+        self.z1 = _frozen(mket([1]))
         self.x0 = _frozen(np.array([[s], [s]], dtype=np.complex128))
         self.x1 = _frozen(np.array([[s], [-s]], dtype=np.complex128))
         self.b00 = _frozen(np.array([[s], [0], [0], [s]], dtype=np.complex128))
@@ -48,23 +60,6 @@ class StatesRegistry:
 
 
 st = StatesRegistry()
-
-
-def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray:
-    """Computational-basis ket |digits> over the given subsystem dimensions.
-
-    With ``dims`` omitted every subsystem is a qubit. The amplitude 1 sits
-    at the row-major linear index of ``digits``.
-    """
-    if dims is None:
-        dims = [2] * len(digits)
-    ds = check_dims(dims, "mket")
-    ket = allocate("mket", np.zeros, (prod(ds), 1))
-    try:
-        ket[multiidx_to_n(digits, ds), 0] = 1.0
-    except QuantumError as err:
-        raise QuantumError(err.kind, "mket", err.detail) from None
-    return ket
 
 
 def bell00() -> np.ndarray:

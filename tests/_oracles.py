@@ -125,6 +125,27 @@ def embed_ctrl(U, ctrl, target, dims, d):
     return G
 
 
+def ref_kraus2super(Ks):
+    """sum_i kron(conj(K_i), K_i) entry by entry: S[(p, q), (r, s)] =
+    sum_i conj(K_i[p, r]) K_i[q, s]."""
+    D = len(Ks[0])
+    S = np.zeros((D * D, D * D), dtype=complex)
+    for p, q, r, s in product(range(D), repeat=4):
+        S[p * D + q, r * D + s] = sum(np.conj(K[p][r]) * K[q][s] for K in Ks)
+    return S
+
+
+def ref_kraus2choi(Ks):
+    """sum_i vec(K_i) vec(K_i)^dag entry by entry, with K[a, b] at
+    column-stacked index b D + a: J[(b, a), (d, c)] = sum_i K_i[a, b]
+    conj(K_i[c, d])."""
+    D = len(Ks[0])
+    J = np.zeros((D * D, D * D), dtype=complex)
+    for a, b, c, d in product(range(D), repeat=4):
+        J[b * D + a, d * D + c] = sum(K[a][b] * np.conj(K[c][d]) for K in Ks)
+    return J
+
+
 def rand_cptp(D, k, rng):
     """k Kraus operators forming a random CPTP channel on dimension D."""
     Gs = [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for _ in range(k)]

@@ -7,10 +7,12 @@ import pytest
 
 from quditsim import (
     ErrorKind,
+    Fd,
     QuantumError,
     Xd,
     Zd,
     apply,
+    apply_ctrl,
     bell00,
     choi2kraus,
     ctrl_gate,
@@ -20,17 +22,24 @@ from quditsim import (
     hevals,
     hevects,
     invperm,
+    kraus2choi,
+    kraus2super,
+    kron,
     kron_pow,
     measure,
     mket,
     multiidx_to_n,
     n_to_multiidx,
+    ptrace,
+    ptranspose,
     qmutualinfo,
     rand_ket,
+    rand_perm,
     rand_rho,
     rand_unitary,
     shannon,
     shor_codeword,
+    syspermute,
     unvec,
     validate_dims,
 )
@@ -179,8 +188,15 @@ def test_integer_parameters_accept_numpy_integers():
     assert np.abs(out - apply(bell00(), X, [1], [2, 2])).max() == 0.0
 
 
+def _huge(*shape):
+    """A complex128 array of ``shape`` that takes no memory: one zero-stride
+    view of a single entry."""
+    return np.broadcast_to(np.complex128(0.5), shape)
+
+
 # numpy rejects each of these shapes before it allocates anything: the byte
-# count overflows, or a side exceeds numpy's maximum dimension
+# count overflows, or a side exceeds numpy's maximum dimension. Each result
+# is allocated before any temporary the size of its input.
 TOO_LARGE_CASES = {
     "ctrl_gate": ("ctrl_gate", lambda: ctrl_gate(X, [0], [1], 33)),
     "mket_62": ("mket", lambda: mket([0] * 62)),
@@ -192,6 +208,12 @@ TOO_LARGE_CASES = {
     "rand_ket": ("rand_ket", lambda: rand_ket(2**62, default_rng(0))),
     "rand_unitary": ("rand_unitary", lambda: rand_unitary(2**40, default_rng(0))),
     "rand_rho": ("rand_rho", lambda: rand_rho(2**40, default_rng(0))),
+    "Fd": ("Fd", lambda: Fd(2**40)),
+    "kraus2choi": ("kraus2choi", lambda: kraus2choi([_huge(2**16, 2**16)])),
+    "kraus2super": ("kraus2super", lambda: kraus2super([_huge(2**16, 2**16)])),
+    "kron": ("kron", lambda: kron(_huge(2**16, 2**16), _huge(2**16, 2**16))),
+    "kron_pow": ("kron_pow", lambda: kron_pow(X, 40)),
+    "ptranspose_ket": ("ptranspose", lambda: ptranspose(_huge(2**32), [0], [2] * 32)),
 }
 
 
@@ -203,3 +225,74 @@ def test_a_space_too_large_to_allocate_is_dims_invalid(case):
     assert ei.value.kind is ErrorKind.DIMS_INVALID
     assert ei.value.op == op
     assert "too large to allocate" in ei.value.detail
+
+
+PSI = bell00()
+
+# op, call, expected kind: each passes an argument of the wrong type, which
+# the argument's own coercion rejects with the kind its other bad values get
+MALFORMED_TYPE_CASES = {
+    "apply_dims_int": ("apply", lambda: apply(PSI, X, [0], 4), ErrorKind.DIMS_INVALID),
+    "ptranspose_dims_int": (
+        "ptranspose", lambda: ptranspose(BELL_RHO, [0], 2), ErrorKind.DIMS_INVALID
+    ),
+    "validate_dims_int": ("validate_dims", lambda: validate_dims(4, 4), ErrorKind.DIMS_INVALID),
+    "dims_unhashable": ("apply", lambda: apply(PSI, X, [0], [[2], 2]), ErrorKind.DIMS_INVALID),
+    "apply_subsys_int": ("apply", lambda: apply(PSI, X, 0, [2, 2]), ErrorKind.OUT_OF_RANGE),
+    "measure_subsys_int": (
+        "measure", lambda: measure(PSI, np.eye(2), 0, [2, 2]), ErrorKind.OUT_OF_RANGE
+    ),
+    "ptrace_subsys_int": ("ptrace", lambda: ptrace(PSI, 0, [2, 2]), ErrorKind.OUT_OF_RANGE),
+    "apply_ctrl_ctrl_int": (
+        "apply_ctrl", lambda: apply_ctrl(PSI, X, 1, [0], [2, 2]), ErrorKind.OUT_OF_RANGE
+    ),
+    "syspermute_perm_int": (
+        "syspermute", lambda: syspermute(PSI, 1, [2, 2]), ErrorKind.OUT_OF_RANGE
+    ),
+    "invperm_none": ("invperm", lambda: invperm(None), ErrorKind.OUT_OF_RANGE),
+    "mket_digits_int": ("mket", lambda: mket(0), ErrorKind.OUT_OF_RANGE),
+    "mket_digits_int_with_dims": ("mket", lambda: mket(0, [2]), ErrorKind.OUT_OF_RANGE),
+    "multiidx_to_n_digits_int": (
+        "multiidx_to_n", lambda: multiidx_to_n(5, [2]), ErrorKind.OUT_OF_RANGE
+    ),
+    "ctrl_gate_ctrl_int": (
+        "ctrl_gate", lambda: ctrl_gate(X, 0, [1], 2), ErrorKind.OUT_OF_RANGE
+    ),
+    "qmutualinfo_subsys_int": (
+        "qmutualinfo", lambda: qmutualinfo(BELL_RHO, 0, [1], [2, 2]), ErrorKind.OUT_OF_RANGE
+    ),
+    "apply_operator_str": ("apply", lambda: apply(PSI, "x", [0], [2, 2]), ErrorKind.DIMS_INVALID),
+    "apply_operator_ragged": (
+        "apply", lambda: apply(PSI, [[1, 0], [0]], [0], [2, 2]), ErrorKind.DIMS_INVALID
+    ),
+    "entropy_str": ("entropy", lambda: entropy("a"), ErrorKind.DIMS_INVALID),
+    "unvec_str": ("unvec", lambda: unvec("ab"), ErrorKind.DIMS_INVALID),
+    "rand_ket_rng_int": ("rand_ket", lambda: rand_ket(4, 42), ErrorKind.OUT_OF_RANGE),
+    "rand_perm_random_state": (
+        "rand_perm", lambda: rand_perm(3, np.random.RandomState(0)), ErrorKind.OUT_OF_RANGE
+    ),
+    "measure_rng_int": (
+        "measure", lambda: measure(PSI, np.eye(2), [0], [2, 2], rng=7), ErrorKind.OUT_OF_RANGE
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TYPE_CASES))
+def test_a_malformed_argument_type_raises_quantum_error(case):
+    op, call, kind = MALFORMED_TYPE_CASES[case]
+    with pytest.raises(QuantumError) as ei:
+        call()
+    assert ei.value.kind is kind
+    assert ei.value.op == op
+
+
+def test_the_index_converters_name_themselves_for_bad_dims():
+    for op, call in (
+        ("multiidx_to_n", lambda: multiidx_to_n([0], [1])),
+        ("n_to_multiidx", lambda: n_to_multiidx(0, [])),
+        ("validate_dims", lambda: validate_dims([1], 1)),
+    ):
+        with pytest.raises(QuantumError) as ei:
+            call()
+        assert ei.value.kind is ErrorKind.DIMS_INVALID
+        assert ei.value.op == op

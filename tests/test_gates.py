@@ -13,8 +13,10 @@ from quditsim import (
     ctrl_gate,
     default_rng,
     gt,
+    measure,
     mket,
     omega,
+    rand_ket,
     rand_unitary,
 )
 
@@ -72,6 +74,26 @@ def test_zd3_diagonal_from_omega_powers():
     expected = [1, w, w * w]
     assert np.abs(np.diagonal(Zd(3)) - expected).max() < 1e-15
     assert abs(w - (-0.5 + 0.8660254037844387j)) < 1e-12
+
+
+@pytest.mark.parametrize("D", [140, 256, 1024])
+def test_fd_unitary_to_roundoff_at_large_d(D):
+    # w ** (j * k) loses accuracy as j * k grows; w^(j * k mod D) does not
+    F = Fd(D)
+    assert np.abs(F.conj().T @ F - np.eye(D)).max() <= 1e-14
+
+
+def test_measure_accepts_the_fourier_basis_of_side_256():
+    psi = rand_ket(256, default_rng(7))
+    out = measure(psi, Fd(256), [0], [256], default_rng(8))
+    assert abs(sum(out.probs) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("D", [2, 3, 7, 64, 300])
+def test_zd_is_the_diagonal_of_python_powers_bit_for_bit(D):
+    w = omega(D)
+    want = np.diag(np.array([w**j for j in range(D)], dtype=complex))
+    assert Zd(D).tobytes() == want.tobytes()
 
 
 def test_xd3_cycles_basis():

@@ -21,6 +21,8 @@ from quditsim import (
     transpose,
 )
 
+from _oracles import peak_bytes
+
 
 def rand_hermitian(D, rng):
     G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
@@ -56,6 +58,14 @@ def test_adjoint():
     A = np.array([[0, 1], [1j, 0]], dtype=complex)
     assert np.array_equal(adjoint(A), np.array([[0, -1j], [1, 0]]))
     assert np.array_equal(adjoint(adjoint(A)), A)
+
+
+def test_adjoint_copies_once():
+    A = default_rng(4).standard_normal((512, 512)) * (1 + 1j)
+    for M in (A, A.T):  # C- and F-ordered input
+        out, peak = peak_bytes(adjoint, M)
+        assert peak <= 1.1 * out.nbytes  # a second 4 MiB copy would double it
+        assert np.array_equal(out, M.conj().T) and out.flags.c_contiguous
 
 
 def test_trace():

@@ -43,6 +43,8 @@ from _oracles import (
     peak_bytes,
     rand_cptp,
     ref_ctrl_gate,
+    ref_kraus2choi,
+    ref_kraus2super,
     ref_ptrace,
     ref_ptranspose,
 )
@@ -344,6 +346,15 @@ def test_unvec_rejects_a_row_count_below_one(rows):
     assert ei.value.op == "unvec"
 
 
+def test_vec_copies_once():
+    A = default_rng(4).standard_normal((512, 512)) * (1 + 1j)
+    for M in (A, A.T):  # for A.T the column stacking is a view, still copied
+        out, peak = peak_bytes(vec, M)
+        assert peak <= 1.1 * out.nbytes  # a second 4 MiB copy would double it
+        assert np.array_equal(out, M.reshape(-1, 1, order="F"))
+        assert not np.shares_memory(out, M)
+
+
 def test_vec_of_sandwich_identity():
     rng = default_rng(13)
     A, rho, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
@@ -378,6 +389,17 @@ def test_kraus2choi_examples():
             expected[i, j] = 1.0
     assert np.array_equal(J, expected)
     assert np.array_equal(kraus2choi(DEPHASING), np.diag([1.0, 0, 0, 1.0]))
+
+
+@pytest.mark.parametrize("D", range(2, 9))
+def test_kraus_sums_match_index_loop_oracles(D):
+    # random complex Kraus sets, neither unitary nor trace preserving
+    rng = default_rng(100 + D)
+    for r in range(1, 5):
+        Ks = [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for _ in range(r)]
+        Ks = [K / np.abs(K).max() for K in Ks]
+        assert np.abs(kraus2super(Ks) - ref_kraus2super(Ks)).max() <= 1e-14
+        assert np.abs(kraus2choi(Ks) - ref_kraus2choi(Ks)).max() <= 1e-14
 
 
 def test_kraus2choi_trace_and_structure_random_cptp():
