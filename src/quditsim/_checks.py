@@ -2,10 +2,12 @@
 
 Every public operation funnels its arguments through these, so the
 "validate eagerly, fail with a kind + operation name" discipline lives in
-one place. Every check that compares a measured error with a tolerance
-goes through :func:`within`, which raises unless ``err <= tol``: NaN
-compares false with everything, so NaN input fails every check. The
-registries' read-only marker lives here too.
+one place. A dimension list is validated only by :func:`as_dims`, the one
+reader of the memoized lookup; it returns the dims with their product
+and names its errors for the caller. Every check that compares a
+measured error with a tolerance goes through :func:`within`, which raises
+unless ``err <= tol``: NaN compares false with everything, so NaN input
+fails every check. The registries' read-only marker lives here too.
 """
 
 from __future__ import annotations
@@ -69,6 +71,19 @@ def _dims_info(*dims) -> tuple[tuple[int, ...], int]:
             ErrorKind.DIMS_INVALID, "validate_dims", "every dimension must be >= 2"
         )
     return ds, prod(ds)
+
+
+def as_dims(dims: Sequence[int], op: str) -> tuple[tuple[int, ...], int]:
+    """Validated dims and their product D, from the one memoized lookup:
+    nonempty, integers >= 2, at most MAXN of them. Its errors are named for
+    ``op``; dims that are not a sequence of hashable entries are DIMS_INVALID."""
+    try:
+        return _dims_info(*dims)
+    except QuantumError as err:
+        raise QuantumError(err.kind, op, err.detail) from None
+    except TypeError:
+        detail = f"dims={dims!r} is not a sequence of integers"
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, detail) from None
 
 
 def allocate(op: str, make, shape, dtype=np.complex128) -> np.ndarray:
@@ -136,24 +151,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def dims_error(err: Exception, dims, op: str) -> QuantumError:
-    """The error, named for ``op``, of dims that ``_dims_info(*dims)`` rejected
-    with ``err``: its own QuantumError, or the TypeError of dims that are not
-    a sequence of hashable entries."""
-    if isinstance(err, QuantumError):
-        return QuantumError(err.kind, op, err.detail)
-    return QuantumError(ErrorKind.DIMS_INVALID, op, f"dims={dims!r} is not a sequence of integers")
-
-
-def check_dims(dims: Sequence[int], op: str) -> list[int]:
-    """Validate a subsystem-dimension list: nonempty, integers >= 2, length <= MAXN."""
-    try:
-        ds, _ = _dims_info(*dims)
-    except (QuantumError, TypeError) as err:
-        raise dims_error(err, dims, op) from None
-    return list(ds)
-
-
 def as_ints(xs: Sequence[int], op: str, what: str) -> list[int]:
     """Each entry of the index list xs through :func:`as_int`; xs that is not
     iterable is OUT_OF_RANGE, as a non-integer entry is."""
@@ -207,13 +204,10 @@ def ctrl_targets(op: str, side: int, ctrl, target, ds: list[int]) -> tuple[list[
 def as_state(state, dims: Sequence[int], op: str) -> tuple[np.ndarray, list[int], bool]:
     """Validate ``dims`` and a ket (D x 1) or square matrix (D x D) over them,
     D = prod(dims); returns (array, validated dims, is_ket)."""
-    ds = check_dims(dims, op)
-    D = prod(ds)
+    ds, D = as_dims(dims, op)
     M = as_matrix(state, op)
-    if M.shape == (D, 1):
-        return M, ds, True
-    if M.shape == (D, D):
-        return M, ds, False
-    raise QuantumError(
-        ErrorKind.NOT_SQUARE_NOR_KET, op, f"shape {M.shape} for total dimension {D}"
-    )
+    if M.shape != (D, 1) and M.shape != (D, D):
+        raise QuantumError(
+            ErrorKind.NOT_SQUARE_NOR_KET, op, f"shape {M.shape} for total dimension {D}"
+        )
+    return M, list(ds), M.shape[1] == 1

@@ -182,7 +182,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     args = _parser().parse_args(argv)
     try:
@@ -190,10 +190,6 @@ def run(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - demos report and fail cleanly
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,10 @@ from .operations import ptrace
 def shannon(probs: Sequence[float]) -> float:
     """Shannon entropy -sum p log2 p of a probability list, in bits."""
     op, kind = "shannon", ErrorKind.OUT_OF_RANGE
-    p = np.asarray(probs, dtype=float).ravel()
+    try:
+        p = np.asarray(probs, dtype=float).ravel()
+    except (TypeError, ValueError) as err:
+        raise QuantumError(kind, op, f"not a list of real numbers: {err}") from None
     if p.size == 0:
         raise QuantumError(ErrorKind.ZERO_SIZE, op)
     within(-p.min(), EPS, op, "negative probability", kind)

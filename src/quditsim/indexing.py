@@ -6,27 +6,22 @@ linear index 2.
 
 The converters are pure-Python helpers for callers that label basis
 states; the kernels index through numpy reshapes and never call them.
-The per-dims validation they share is memoized on the dimension tuple and
-costs them no extra call: its errors are renamed for the converter only
-once raised. Digits and indices go through ``as_int`` unless they are
-plain ints.
+Each reads the validated dimension tuple and its product from one
+``_checks.as_dims`` call, whose lookup is memoized on the tuple. Digits
+and indices go through ``as_int`` unless they are plain ints.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import Sequence
 
-from ._checks import _dims_info, as_int, check_dims, dims_error
+from ._checks import as_dims, as_int
 from .exceptions import ErrorKind, QuantumError
 
 
 def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
     """Linear index of a multi-index: n = sum_k midx[k] * prod_{j>k} dims[j]."""
-    try:
-        ds, _ = _dims_info(*dims)
-    except (QuantumError, TypeError) as err:
-        raise dims_error(err, dims, "multiidx_to_n") from None
+    ds, _ = as_dims(dims, "multiidx_to_n")
     try:
         k = len(midx)
     except TypeError:
@@ -50,24 +45,23 @@ def multiidx_to_n(midx: Sequence[int], dims: Sequence[int]) -> int:
 
 def n_to_multiidx(n: int, dims: Sequence[int]) -> list[int]:
     """Inverse of :func:`multiidx_to_n`."""
-    try:
-        ds, total = _dims_info(*dims)
-    except (QuantumError, TypeError) as err:
-        raise dims_error(err, dims, "n_to_multiidx") from None
+    ds, D = as_dims(dims, "n_to_multiidx")
     if type(n) is not int:
         n = as_int(n, "n_to_multiidx", "n")
-    if not 0 <= n < total:
+    if not 0 <= n < D:
         raise QuantumError(ErrorKind.OUT_OF_RANGE, "n_to_multiidx", f"n={n}")
-    out = [0] * len(ds)
-    for k in range(len(ds) - 1, -1, -1):
-        n, out[k] = divmod(n, ds[k])
+    out = []
+    for d in ds[::-1]:
+        out.append(n % d)
+        n //= d
+    out.reverse()
     return out
 
 
 def validate_dims(dims: Sequence[int], total: int) -> None:
     """Check that ``dims`` is a valid decomposition of a space of size ``total``."""
-    p = prod(check_dims(dims, "validate_dims"))
-    if p != as_int(total, "validate_dims", "total"):
+    _, D = as_dims(dims, "validate_dims")
+    if D != as_int(total, "validate_dims", "total"):
         raise QuantumError(
-            ErrorKind.DIMS_MISMATCH_MATRIX, "validate_dims", f"prod(dims)={p} != {total}"
+            ErrorKind.DIMS_MISMATCH_MATRIX, "validate_dims", f"prod(dims)={D} != {total}"
         )

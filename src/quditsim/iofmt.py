@@ -49,7 +49,11 @@ def _fmt_component(x: float, precision: int) -> str:
 
 def format_scalar(z: complex, precision: int = 4, chop: float = CHOP) -> str:
     """Render one complex number as ``a+bi``, chopping tiny components."""
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError) as err:
+        detail = f"not a number: {err}"
+        raise QuantumError(ErrorKind.DIMS_INVALID, "format_scalar", detail) from None
     re = 0.0 if abs(z.real) < chop else z.real
     im = 0.0 if abs(z.imag) < chop else z.imag
     rs = _fmt_component(re, precision)
@@ -67,11 +71,12 @@ def format_matrix(A, precision: int = 4, chop: float = CHOP) -> str:
 
     The empty matrix renders as ``[]``.
     """
-    M = np.asarray(A, dtype=np.complex128)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
-    if M.size == 0:
-        return "[]"
+    try:
+        M = as_matrix(A, "format_matrix")
+    except QuantumError as err:
+        if err.kind is ErrorKind.ZERO_SIZE:
+            return "[]"
+        raise
     cells = [[format_scalar(z, precision, chop) for z in row] for row in M]
     widths = [max(len(cells[i][j]) for i in range(M.shape[0])) for j in range(M.shape[1])]
     return "\n".join(
@@ -92,10 +97,13 @@ def format_sequence(xs: Iterable, delimiter: str = " ", precision: int = 4, chop
     return delimiter.join(parts)
 
 
-def _opened(target, mode: str):
-    """A path opened in ``mode``, or a stream as is, to use in ``with``."""
+def _opened(target, mode: str, op: str):
+    """A path opened in ``mode``, or a stream as is, to use in ``with``;
+    anything else is IO_ERROR."""
     if isinstance(target, (str, Path)):
         return open(target, mode)
+    if not hasattr(target, "read" if mode == "rb" else "write"):
+        raise QuantumError(ErrorKind.IO_ERROR, op, f"{target!r} is neither a path nor a stream")
     return contextlib.nullcontext(target)
 
 
@@ -106,7 +114,7 @@ def save(A, sink) -> None:
     payload = np.ascontiguousarray(M, dtype="<c16").tobytes()
     # ValueError: a closed stream, or a NUL byte in a path
     try:
-        with _opened(sink, "wb") as fh:
+        with _opened(sink, "wb", "save") as fh:
             fh.write(header)
             fh.write(payload)
     except (OSError, ValueError) as exc:
@@ -148,7 +156,7 @@ def load(source) -> np.ndarray:
         source = io.BytesIO(source)
     # ValueError: a closed stream, or a NUL byte in a path
     try:
-        with _opened(source, "rb") as fh:
+        with _opened(source, "rb", "load") as fh:
             return _read_record(fh)
     except (OSError, ValueError) as exc:
         raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None

@@ -21,12 +21,12 @@ import numpy as np
 from ._checks import (
     _targets,
     allocate,
+    as_dims,
     as_int,
     as_ints,
     as_matrix,
     as_square,
     as_state,
-    check_dims,
     check_subsys,
     ctrl_targets,
     hermitian_part,
@@ -239,7 +239,12 @@ def apply_ctrl(
 
 
 def _check_kraus(Ks, op: str) -> list[np.ndarray]:
-    if Ks is None or len(Ks) == 0:
+    try:
+        empty = Ks is None or len(Ks) == 0
+    except TypeError:
+        detail = f"Kraus list {Ks!r} is not a sequence"
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, detail) from None
+    if empty:
         raise QuantumError(ErrorKind.ZERO_SIZE, op, "empty Kraus list")
     out = [as_square(K, op) for K in Ks]
     if any(K.shape != out[0].shape for K in out):
@@ -338,7 +343,7 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     ss = check_subsys(subsys, len(ds), op, allow_empty=True)
     n = len(ds)
     keep = [k for k in range(n) if k not in set(ss)]
-    dk = prod(ds[k] for k in keep) if keep else 1
+    dk = prod(ds[k] for k in keep)
     dt = prod(ds[k] for k in ss)
     if is_ket:
         A = M.reshape(ds).transpose(keep + ss).reshape(dk, dt)
@@ -380,10 +385,7 @@ def ptranspose(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
 def invperm(perm: Sequence[int]) -> list[int]:
     """Inverse of a permutation: result[perm[k]] == k."""
     p = _check_perm(perm, "invperm")
-    out = [0] * len(p)
-    for k, v in enumerate(p):
-        out[v] = k
-    return out
+    return sorted(range(len(p)), key=p.__getitem__)
 
 
 def _check_perm(perm: Sequence[int], op: str) -> list[int]:
@@ -401,7 +403,7 @@ def syspermute(state, perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     output is laid out over the correspondingly permuted dimensions.
     """
     op = "syspermute"
-    ds = check_dims(dims, op)
+    ds, _ = as_dims(dims, op)
     p = _check_perm(perm, op)
     if len(p) != len(ds):
         raise QuantumError(

@@ -7,12 +7,12 @@ always return fresh writable arrays.
 
 from __future__ import annotations
 
-from math import prod, sqrt
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from ._checks import _frozen, allocate, as_int, as_ints, check_dims
+from ._checks import _frozen, allocate, as_dims, as_int, as_ints
 from .exceptions import QuantumError
 from .indexing import multiidx_to_n
 from .linalg import kron_pow
@@ -27,8 +27,8 @@ def mket(digits: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray
     if dims is None:
         digits = as_ints(digits, "mket", "digit")
         dims = [2] * len(digits)
-    ds = check_dims(dims, "mket")
-    ket = allocate("mket", np.zeros, (prod(ds), 1))
+    ds, D = as_dims(dims, "mket")
+    ket = allocate("mket", np.zeros, (D, 1))
     try:
         ket[multiidx_to_n(digits, ds), 0] = 1.0
     except QuantumError as err:

@@ -2,9 +2,12 @@
 must be normalized to be measured, and integer parameters must be
 integers (a numpy integer is one; a bool, float or string is not)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import quditsim
 from quditsim import (
     ErrorKind,
     Fd,
@@ -12,12 +15,15 @@ from quditsim import (
     Xd,
     Zd,
     apply,
+    apply_channel,
     apply_ctrl,
     bell00,
     choi2kraus,
     ctrl_gate,
     default_rng,
     entropy,
+    format_matrix,
+    format_scalar,
     gt,
     hevals,
     hevects,
@@ -26,6 +32,7 @@ from quditsim import (
     kraus2super,
     kron,
     kron_pow,
+    load,
     measure,
     mket,
     multiidx_to_n,
@@ -37,6 +44,7 @@ from quditsim import (
     rand_perm,
     rand_rho,
     rand_unitary,
+    save,
     shannon,
     shor_codeword,
     syspermute,
@@ -274,6 +282,19 @@ MALFORMED_TYPE_CASES = {
     "measure_rng_int": (
         "measure", lambda: measure(PSI, np.eye(2), [0], [2, 2], rng=7), ErrorKind.OUT_OF_RANGE
     ),
+    "kraus2super_int": ("kraus2super", lambda: kraus2super(5), ErrorKind.DIMS_INVALID),
+    "kraus2choi_int": ("kraus2choi", lambda: kraus2choi(5), ErrorKind.DIMS_INVALID),
+    "apply_channel_kraus_int": (
+        "apply_channel", lambda: apply_channel(RHO, 5, [0], [2]), ErrorKind.DIMS_INVALID
+    ),
+    "format_matrix_str": ("format_matrix", lambda: format_matrix("x"), ErrorKind.DIMS_INVALID),
+    "format_matrix_ragged": (
+        "format_matrix", lambda: format_matrix([[1, 0], [0]]), ErrorKind.DIMS_INVALID
+    ),
+    "format_scalar_str": ("format_scalar", lambda: format_scalar("x"), ErrorKind.DIMS_INVALID),
+    "shannon_str": ("shannon", lambda: shannon("ab"), ErrorKind.OUT_OF_RANGE),
+    "load_int": ("load", lambda: load(5), ErrorKind.IO_ERROR),
+    "save_int": ("save", lambda: save(X, 5), ErrorKind.IO_ERROR),
 }
 
 
@@ -286,13 +307,42 @@ def test_a_malformed_argument_type_raises_quantum_error(case):
     assert ei.value.op == op
 
 
+# every public caller of _checks.as_dims, as a function of the dims it gets
+DIMS_CALLERS = {
+    "apply": lambda dims: apply(PSI, X, [0], dims),
+    "apply_ctrl": lambda dims: apply_ctrl(PSI, X, [0], [1], dims),
+    "apply_channel": lambda dims: apply_channel(BELL_RHO, [X], [0], dims),
+    "measure": lambda dims: measure(PSI, np.eye(2), [0], dims),
+    "ptrace": lambda dims: ptrace(BELL_RHO, [0], dims),
+    "ptranspose": lambda dims: ptranspose(BELL_RHO, [0], dims),
+    "qmutualinfo": lambda dims: qmutualinfo(BELL_RHO, [0], [1], dims),
+    "syspermute": lambda dims: syspermute(PSI, [1, 0], dims),
+    "mket": lambda dims: mket([0, 0], dims),
+    "validate_dims": lambda dims: validate_dims(dims, 4),
+    "multiidx_to_n": lambda dims: multiidx_to_n([0, 0], dims),
+    "n_to_multiidx": lambda dims: n_to_multiidx(0, dims),
+}
+
+# dims and the detail of their error: DIMS_INVALID for every caller
+BAD_DIMS = [
+    (5, "dims=5 is not a sequence of integers"),
+    ([[2], 2], "dims=[[2], 2] is not a sequence of integers"),
+    ([], "empty dimension list"),
+    ([1], "every dimension must be >= 2"),
+    ([2] * 65, "more than 64 subsystems"),
+]
+
+
 def test_the_index_converters_name_themselves_for_bad_dims():
-    for op, call in (
-        ("multiidx_to_n", lambda: multiidx_to_n([0], [1])),
-        ("n_to_multiidx", lambda: n_to_multiidx(0, [])),
-        ("validate_dims", lambda: validate_dims([1], 1)),
-    ):
-        with pytest.raises(QuantumError) as ei:
-            call()
-        assert ei.value.kind is ErrorKind.DIMS_INVALID
-        assert ei.value.op == op
+    for op, call in DIMS_CALLERS.items():
+        for dims, detail in BAD_DIMS:
+            with pytest.raises(QuantumError) as ei:
+                call(dims)
+            got = (ei.value.kind, ei.value.op, ei.value.detail)
+            assert got == (ErrorKind.DIMS_INVALID, op, detail), (op, dims)
+
+
+def test_only_checks_reads_the_memoized_dims_lookup():
+    src = Path(quditsim.__file__).parent
+    readers = sorted(f.name for f in src.glob("*.py") if "_dims_info" in f.read_text())
+    assert readers == ["_checks.py"]
