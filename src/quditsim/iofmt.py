@@ -47,13 +47,16 @@ def _fmt_component(x: float, precision: int) -> str:
     return s
 
 
+def _as_complex(z, op: str) -> complex:
+    try:
+        return complex(z)
+    except (TypeError, ValueError) as err:
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, f"not a number: {err}") from None
+
+
 def format_scalar(z: complex, precision: int = 4, chop: float = CHOP) -> str:
     """Render one complex number as ``a+bi``, chopping tiny components."""
-    try:
-        z = complex(z)
-    except (TypeError, ValueError) as err:
-        detail = f"not a number: {err}"
-        raise QuantumError(ErrorKind.DIMS_INVALID, "format_scalar", detail) from None
+    z = _as_complex(z, "format_scalar")
     re = 0.0 if abs(z.real) < chop else z.real
     im = 0.0 if abs(z.imag) < chop else z.imag
     rs = _fmt_component(re, precision)
@@ -86,14 +89,19 @@ def format_matrix(A, precision: int = 4, chop: float = CHOP) -> str:
 
 def format_sequence(xs: Iterable, delimiter: str = " ", precision: int = 4, chop: float = CHOP) -> str:
     """Join a sequence of numbers/strings with a delimiter."""
+    op = "format_sequence"
+    try:
+        items = iter(xs)
+    except TypeError:
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, f"{xs!r} is not a sequence") from None
     parts = []
-    for x in xs:
+    for x in items:
         if isinstance(x, str):
             parts.append(x)
         elif isinstance(x, (int, np.integer)):
             parts.append(str(int(x)))
         else:
-            parts.append(format_scalar(complex(x), precision, chop))
+            parts.append(format_scalar(_as_complex(x, op), precision, chop))
     return delimiter.join(parts)
 
 

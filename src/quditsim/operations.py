@@ -13,6 +13,7 @@ All functions return the result by value and never modify their inputs.
 
 from __future__ import annotations
 
+from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -58,6 +59,15 @@ def _contract(
     matmul when they are adjacent and the output's layout lets it be
     written in place, and one matmul per block on a targets-first copy
     otherwise.
+
+    Without controls, on a t larger than one block, G's zero structure
+    is read first (:func:`_by_structure`, exact tests only): an axis on
+    which G is block-diagonal becomes a free axis when its blocks are
+    equal and a sector split otherwise, an identity block is a copy and
+    a diagonal block a multiply by its diagonal. That is the shape of a
+    controlled gate given as a plain matrix, of a diagonal gate or
+    channel (``Zd``, phases, CZ, dephasing) and of the superoperator of
+    ``apply_ctrl`` on rho; a dense G pays one check of O(k^2).
     """
     out = np.empty_like(t, order="C")
     axes = list(axes)
@@ -68,11 +78,64 @@ def _contract(
         dsub = [t.shape[a] for a in axes]
         G = G.reshape(dsub + dsub).transpose(order + [s + o for o in order]).reshape(G.shape)
         axes.sort()
+    if not ctrl and t.size > _BLOCK:
+        _by_structure(out, t, G, axes)
+        return out
     Gs = [None, G]
     while ctrl and len(Gs) < t.shape[ctrl[0]]:
         Gs.append(Gs[-1] @ G)
     _into(out, t, Gs, axes, sorted(ctrl), range(1, len(Gs)) if ctrl else (1,))
     return out
+
+
+def _by_structure(y: np.ndarray, x: np.ndarray, G: np.ndarray, axes: list[int]) -> None:
+    """G on the ascending ``axes`` of x, written into y, read from G's zeros.
+
+    A diagonal G is a copy when it is the identity, and one multiply when
+    its targets lie in x's trailing block. Else, on the first axis where
+    every entry whose row and column digits differ there is 0, G is
+    sum_i |i><i| (x) B_i: equal blocks leave that axis free for B_0, and
+    unequal ones split x and y into one sector per digit, sector i taking
+    B_i. Any other G goes to :func:`_into`. The tests are exact (``!= 0``
+    and equality), so a 1e-300 or a NaN keeps an axis dense.
+    """
+    k = G.shape[0]
+    diag = np.diagonal(G)
+    if np.count_nonzero(G) == np.count_nonzero(diag):
+        if (diag == 1).all():
+            y[...] = x
+            return
+        # x's axes from m on are the longest trailing run within one block
+        m = x.ndim
+        while m and prod(x.shape[m - 1 :]) <= _BLOCK:
+            m -= 1
+        if not axes or axes[0] >= m:
+            # the diagonal tiled over that block, so that numpy's inner
+            # loop runs over all of it, not over the last target alone
+            shape = [x.shape[b] if b in axes else 1 for b in range(m, x.ndim)]
+            F = np.broadcast_to(diag.reshape(shape), x.shape[m:]).copy()
+            np.multiply(x, F, out=y)
+            return
+    s = len(axes)
+    dsub = [x.shape[a] for a in axes]
+    T = G.reshape(dsub + dsub)
+    for p, a in enumerate(axes):
+        d = dsub[p]
+        blocks = np.moveaxis(T, (p, s + p), (0, 1))
+        if any(blocks[i, j].any() for i in range(d) for j in range(d) if i != j):
+            continue
+        Bs = [blocks[i, i].reshape(k // d, k // d) for i in range(d)]
+        rest = axes[:p] + axes[p + 1 :]
+        if all(np.array_equal(B, Bs[0]) for B in Bs[1:]):
+            _by_structure(y, x, Bs[0], rest)
+            return
+        sub = [b - (b > a) for b in rest]
+        head = (slice(None),) * a
+        for i in range(d):
+            sl = head + (i, ...)  # a view even when x has one axis
+            _by_structure(y[sl], x[sl], Bs[i], sub)
+        return
+    _into(y, x, [None, G], axes, [], (1,))
 
 
 def _controlled(G: np.ndarray, dims: list[int], ctrl: list[int], target: list[int]) -> np.ndarray:
@@ -335,8 +398,8 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     is summed over a strided view of its traced diagonal, so only the
     entries that enter the sum are read and only the result is allocated
     (a copy of rho when nothing is traced). A ket psi gives A A^dag, with
-    A the (kept, traced) matrix of its amplitudes, so its D x D projector
-    is never formed.
+    A the (kept, traced) matrix of its amplitudes, summed over blocks of
+    A's columns, so neither its D x D projector nor a copy of it is formed.
     """
     op = "ptrace"
     M, ds, is_ket = as_state(rho, dims, op)
@@ -344,10 +407,24 @@ def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     n = len(ds)
     keep = [k for k in range(n) if k not in set(ss)]
     dk = prod(ds[k] for k in keep)
-    dt = prod(ds[k] for k in ss)
     if is_ket:
-        A = M.reshape(ds).transpose(keep + ss).reshape(dk, dt)
-        return A @ A.conj().T
+        # A A^dag = sum_b A_b A_b^dag over blocks A_b of A's columns, each
+        # block one index of the leading traced axes. A block holds at most
+        # max(_BLOCK, dk^2) entries, so its dk x dk product is no larger
+        # than it, and a ket of one block is one gemm.
+        t = M.reshape(ds).transpose(keep + ss)
+        nk = m = len(keep)
+        while dk * prod(t.shape[m:]) > max(_BLOCK, dk * dk):
+            m += 1
+        if m == nk:
+            A = t.reshape(dk, -1)
+            return A @ A.conj().T
+        out = np.zeros((dk, dk), dtype=M.dtype)
+        head = (slice(None),) * nk
+        for idx in product(*map(range, t.shape[nk:m])):
+            A = t[head + idx].reshape(dk, -1)
+            out += A @ A.conj().T
+        return out
     # a traced subsystem's column axis takes its row axis's label, so einsum
     # sums a strided diagonal view of rho. The labels stay below 2n <= 50,
     # within einsum's 52: rho over 26 or more subsystems would hold at

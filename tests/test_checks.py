@@ -24,6 +24,7 @@ from quditsim import (
     entropy,
     format_matrix,
     format_scalar,
+    format_sequence,
     gt,
     hevals,
     hevects,
@@ -292,6 +293,10 @@ MALFORMED_TYPE_CASES = {
         "format_matrix", lambda: format_matrix([[1, 0], [0]]), ErrorKind.DIMS_INVALID
     ),
     "format_scalar_str": ("format_scalar", lambda: format_scalar("x"), ErrorKind.DIMS_INVALID),
+    "format_sequence_none": (
+        "format_sequence", lambda: format_sequence([None]), ErrorKind.DIMS_INVALID
+    ),
+    "format_sequence_int": ("format_sequence", lambda: format_sequence(5), ErrorKind.DIMS_INVALID),
     "shannon_str": ("shannon", lambda: shannon("ab"), ErrorKind.OUT_OF_RANGE),
     "load_int": ("load", lambda: load(5), ErrorKind.IO_ERROR),
     "save_int": ("save", lambda: save(X, 5), ErrorKind.IO_ERROR),

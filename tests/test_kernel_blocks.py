@@ -6,9 +6,11 @@ sector split (sectors where the controls read j get U^j, the others are
 copied), the split into blocks with one matmul each on a targets-first
 copy (non-adjacent targets, or short runs after the targets), and the
 two matmul layouts an adjacent target run takes when the output's slice
-is contiguous (the run last, or the run followed by a longer tail). Each
-result is checked against ``ref_contract``, an independent oracle: one
-tensordot over the whole tensor.
+is contiguous (the run last, or the run followed by a longer tail), and,
+without controls, the reading of G's zeros first (identity sectors
+copied, diagonal operators multiplied). Each result is checked against
+``ref_contract``, an independent oracle: one tensordot over the whole
+tensor.
 """
 
 from math import prod
@@ -17,7 +19,16 @@ import numpy as np
 import pytest
 
 from _oracles import peak_bytes, rand_cptp, ref_contract
-from quditsim import apply, apply_channel, apply_ctrl, default_rng, rand_ket, rand_rho
+from quditsim import (
+    Zd,
+    apply,
+    apply_channel,
+    apply_ctrl,
+    default_rng,
+    operations,
+    rand_ket,
+    rand_rho,
+)
 
 # 110592 amplitudes; qubits at 1, 3, 5, 6, 8, 9, 11, 12, qutrits at 0, 4, 10
 DIMS = [3, 2, 4, 2, 3, 2, 2, 4, 2, 2, 3, 2, 2]
@@ -151,3 +162,77 @@ def test_channel_on_rho_allocates_one_output():
     t = rho.reshape(dims + dims)
     want = sum(_ref_conjugate(t, K, [4]) for K in Ks).reshape(512, 512)
     assert np.abs(out - want).max() < TOL
+
+
+# a 384 x 384 rho: every call below reads G's zero structure first
+STRUCT_DIMS = [2] * 7 + [3]
+
+
+def _dephasing(rng):
+    Z = Zd(3)
+    p = rng.dirichlet([1.0, 1.0, 1.0])
+    return [np.sqrt(p[j]) * np.linalg.matrix_power(Z, j) for j in range(3)]
+
+
+@pytest.mark.parametrize("case", ["apply_ctrl", "dephasing"])
+def test_structured_call_on_rho_allocates_one_output(case):
+    # apply_ctrl's superoperator is block-diagonal on both control axes;
+    # dephasing's is diagonal, on the innermost row and column axes
+    rng = default_rng(46)
+    D = prod(STRUCT_DIMS)
+    rho = rand_rho(D, rng)
+    t = rho.reshape(STRUCT_DIMS + STRUCT_DIMS)
+    if case == "apply_ctrl":
+        U = _gate(2, rng)
+        args = (apply_ctrl, rho, U, [2], [5], STRUCT_DIMS)
+        want = _ref_conjugate(t, U, [5], [2])
+    else:
+        Ks = _dephasing(rng)
+        args = (apply_channel, rho, Ks, [7], STRUCT_DIMS)
+        want = sum(_ref_conjugate(t, K, [7]) for K in Ks)
+    args[0](*args[1:])  # first call: numpy's lazy set-up
+    out, peak = peak_bytes(*args)
+    assert peak <= rho.nbytes + 2**20
+    assert np.abs(out - want.reshape(D, D)).max() < TOL
+
+
+CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+
+
+def test_identity_sector_is_a_bitwise_copy():
+    rng = default_rng(47)
+    psi = rand_ket(prod(DIMS), rng)
+    # CNOT as a plain 4 x 4 on [9, 3]: control qubit 9, target qubit 3
+    out = apply(psi, CNOT, [9, 3], DIMS).reshape(DIMS)
+    t = psi.reshape(DIMS)
+    assert out[(slice(None),) * 9 + (0,)].tobytes() == t[(slice(None),) * 9 + (0,)].tobytes()
+    want = ref_contract(t, CNOT, [9, 3])
+    assert np.abs(out - want).max() < TOL
+    # on rho, the sector where the row and the column control both read 0
+    D = prod(STRUCT_DIMS)
+    rho = rand_rho(D, rng)
+    got = apply_ctrl(rho, _gate(2, rng), [2], [5], STRUCT_DIMS).reshape(STRUCT_DIMS * 2)
+    zero = (slice(None),) * 2 + (0,) + (slice(None),) * 7 + (0,)
+    assert got[zero].tobytes() == rho.reshape(STRUCT_DIMS * 2)[zero].tobytes()
+
+
+@pytest.mark.parametrize("tiny", [1e-300, np.nan], ids=["1e-300", "nan"])
+def test_a_tiny_or_nan_entry_keeps_the_axis_dense(tiny, monkeypatch):
+    # the entry couples control 0 to control 1, so the control axis is not
+    # block-diagonal and the whole 4 x 4 goes to the gemm route
+    G = CNOT.copy()
+    G[0, 2] = tiny
+    seen = []
+    into = operations._into
+
+    def spy(y, x, Gs, axes, ctrl, js):
+        seen.append(Gs[js[0]].shape)
+        return into(y, x, Gs, axes, ctrl, js)
+
+    monkeypatch.setattr(operations, "_into", spy)
+    psi = rand_ket(prod(DIMS), default_rng(48))
+    out = apply(psi, G, [9, 3], DIMS)
+    assert seen and set(seen) == {(4, 4)}
+    want = ref_contract(psi.reshape(DIMS), G, [9, 3]).reshape(-1, 1)
+    np.testing.assert_allclose(out, want, rtol=0, atol=TOL, equal_nan=True)
+    assert np.isnan(out).any() == np.isnan(tiny)
