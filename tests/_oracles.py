@@ -216,3 +216,11 @@ def ref_contract(t, G, axes, ctrl=(), d=2):
     dsub = [t.shape[a] for a in axes]
     out = np.tensordot(np.reshape(G, dsub + dsub), t, axes=(list(range(s, 2 * s)), list(axes)))
     return np.moveaxis(out, list(range(s)), list(axes))
+
+
+def ref_conjugate(t, G, axes, ctrl=(), d=2):
+    """G_full rho G_full^dag on the row + column tensor t of rho: G on the
+    row axes and conj(G) on the column axes, each by ``ref_contract``."""
+    n = t.ndim // 2
+    t = ref_contract(t, G, axes, ctrl, d)
+    return ref_contract(t, G.conj(), [n + a for a in axes], [n + c for c in ctrl], d)

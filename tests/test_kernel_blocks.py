@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from _oracles import peak_bytes, rand_cptp, ref_contract
+from _oracles import peak_bytes, rand_cptp, ref_conjugate, ref_contract
 from quditsim import (
     Zd,
     apply,
@@ -40,12 +40,6 @@ TOL = 1e-12
 def _gate(k, rng):
     """A random complex k x k matrix: not unitary, so G and G^T differ."""
     return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-
-
-def _ref_conjugate(t, G, axes, ctrl=(), d=2):
-    n = t.ndim // 2
-    t = ref_contract(t, G, axes, ctrl, d)
-    return ref_contract(t, G.conj(), [n + a for a in axes], [n + c for c in ctrl], d)
 
 
 @pytest.mark.parametrize(
@@ -109,13 +103,13 @@ def test_density_matrix_above_one_block_matches_reference(ctrl, target):
     G = _gate(prod(RHO_DIMS[k] for k in target), rng)
     if ctrl:
         got = apply_ctrl(rho, G, ctrl, target, RHO_DIMS)
-        want = _ref_conjugate(t, G, target, ctrl, RHO_DIMS[ctrl[0]])
+        want = ref_conjugate(t, G, target, ctrl, RHO_DIMS[ctrl[0]])
     else:
         got = apply(rho, G, target, RHO_DIMS)
-        want = _ref_conjugate(t, G, target)
+        want = ref_conjugate(t, G, target)
     assert np.abs(got - want.reshape(D, D)).max() < TOL
     Ks = rand_cptp(G.shape[0], 2, rng)
-    want = sum(_ref_conjugate(t, K, target) for K in Ks).reshape(D, D)
+    want = sum(ref_conjugate(t, K, target) for K in Ks).reshape(D, D)
     assert np.abs(apply_channel(rho, Ks, target, RHO_DIMS) - want).max() < TOL
 
 
@@ -160,7 +154,7 @@ def test_channel_on_rho_allocates_one_output():
     out, peak = peak_bytes(apply_channel, rho, Ks, [4], dims)
     assert peak <= rho.nbytes + 2**20
     t = rho.reshape(dims + dims)
-    want = sum(_ref_conjugate(t, K, [4]) for K in Ks).reshape(512, 512)
+    want = sum(ref_conjugate(t, K, [4]) for K in Ks).reshape(512, 512)
     assert np.abs(out - want).max() < TOL
 
 
@@ -185,11 +179,11 @@ def test_structured_call_on_rho_allocates_one_output(case):
     if case == "apply_ctrl":
         U = _gate(2, rng)
         args = (apply_ctrl, rho, U, [2], [5], STRUCT_DIMS)
-        want = _ref_conjugate(t, U, [5], [2])
+        want = ref_conjugate(t, U, [5], [2])
     else:
         Ks = _dephasing(rng)
         args = (apply_channel, rho, Ks, [7], STRUCT_DIMS)
-        want = sum(_ref_conjugate(t, K, [7]) for K in Ks)
+        want = sum(ref_conjugate(t, K, [7]) for K in Ks)
     args[0](*args[1:])  # first call: numpy's lazy set-up
     out, peak = peak_bytes(*args)
     assert peak <= rho.nbytes + 2**20

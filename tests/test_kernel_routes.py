@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ref_contract
+from _oracles import ref_conjugate, ref_contract
 from quditsim import apply, apply_channel, apply_ctrl, default_rng, rand_ket, rand_rho, rand_unitary
 from quditsim import operations
 
@@ -101,12 +101,6 @@ def _forced(route, call):
     return out
 
 
-def _ref_conjugate(t, G, axes, ctrl, d):
-    n = t.ndim // 2
-    t = ref_contract(t, G, axes, ctrl, d)
-    return ref_contract(t, G.conj(), [n + a for a in axes], [n + c for c in ctrl], d)
-
-
 @SETTINGS
 @given(setups(max_D=144), st.sampled_from(KINDS), routes, st.integers(0, 2**32 - 1))
 def test_ket_routes_match_reference(setup, kind, route, seed):
@@ -136,9 +130,9 @@ def test_density_matrix_routes_match_reference(setup, kind, route, seed):
         got = _forced(route, lambda: apply_ctrl(rho, G, ctrl, target, dims))
     else:
         got = _forced(route, lambda: apply(rho, G, target, dims))
-    want = _ref_conjugate(t, G, target, ctrl, d).reshape(D, D)
+    want = ref_conjugate(t, G, target, ctrl, d).reshape(D, D)
     assert np.abs(got - want).max() < TOL * max(1.0, np.abs(want).max())
     Ks = [G, _operator(kind, dsub, rng)]
     got = _forced(route, lambda: apply_channel(rho, Ks, target, dims))
-    want = sum(_ref_conjugate(t, K, target, [], 2) for K in Ks).reshape(D, D)
+    want = sum(ref_conjugate(t, K, target) for K in Ks).reshape(D, D)
     assert np.abs(got - want).max() < TOL * max(1.0, np.abs(want).max())
