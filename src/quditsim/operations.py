@@ -13,6 +13,7 @@ All functions return the result by value and never modify their inputs.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -51,23 +52,15 @@ def _contract(
 ) -> np.ndarray:
     """Apply the square matrix G to ``axes`` of tensor t, in that factor order.
 
-    With ``ctrl`` set, G^j acts only on the slice where every control axis
-    (all of one dimension d, read from t) equals j, and every other slice
-    is copied as is. Never writes t; the result is its one allocation of
-    t's size and shares no memory with t. The controls are split off
-    first, one sector at a time; each sector's targets then take one
-    matmul when they are adjacent and the output's layout lets it be
-    written in place, and one matmul per block on a targets-first copy
-    otherwise.
-
-    Without controls, on a t larger than one block, G's zero structure
-    is read first (:func:`_by_structure`, exact tests only): an axis on
-    which G is block-diagonal becomes a free axis when its blocks are
-    equal and a sector split otherwise, an identity block is a copy and
-    a diagonal block a multiply by its diagonal. That is the shape of a
-    controlled gate given as a plain matrix, of a diagonal gate or
-    channel (``Zd``, phases, CZ, dephasing) and of the superoperator of
-    ``apply_ctrl`` on rho; a dense G pays one check of O(k^2).
+    Never writes t; the result is its one allocation of t's size and shares
+    no memory with t. With ``ctrl`` set, G^j acts only on the slice where
+    every control axis (all of one dimension d, read from t) equals j: the
+    controlled G is block-diagonal there, with blocks I and G^j, so the
+    controls are per-digit splits of :func:`_into`. Digit j of the first
+    control splits each later control, keeping digit j alone, down to G^j;
+    every other digit is a copy. On a t larger than one block, each G^j's
+    zero structure is read into more such splits by :func:`_plan`; a dense G
+    pays one check of O(k^2).
     """
     out = np.empty_like(t, order="C")
     axes = list(axes)
@@ -78,46 +71,54 @@ def _contract(
         dsub = [t.shape[a] for a in axes]
         G = G.reshape(dsub + dsub).transpose(order + [s + o for o in order]).reshape(G.shape)
         axes.sort()
-    if not ctrl and t.size > _BLOCK:
-        _by_structure(out, t, G, axes)
+    if not ctrl:
+        _into(out, t, _plan(G, axes, t.shape) if t.size > _BLOCK else (G, axes))
         return out
-    Gs = [None, G]
-    while ctrl and len(Gs) < t.shape[ctrl[0]]:
-        Gs.append(Gs[-1] @ G)
-    _into(out, t, Gs, axes, sorted(ctrl), range(1, len(Gs)) if ctrl else (1,))
+    ctrl = sorted(ctrl)
+    # once the controls are split off, target a is axis a - (the number of
+    # controls before it), and control l is axis ctrl[l] - l
+    axes = [a - bisect(ctrl, a) for a in axes]
+    d = t.shape[ctrl[0]]
+    ops = [None]
+    for j in range(1, d):
+        Gj = G if j == 1 else Gj @ G
+        op = (Gj, axes)
+        if t.size > _BLOCK:
+            op = _plan(Gj, axes, [n for b, n in enumerate(t.shape) if b not in ctrl])
+        for level in range(len(ctrl) - 1, 0, -1):
+            op = (ctrl[level] - level, [None] * j + [op] + [None] * (d - 1 - j))
+        ops.append(op)
+    _into(out, t, (ctrl[0], ops))
     return out
 
 
-def _by_structure(y: np.ndarray, x: np.ndarray, G: np.ndarray, axes: list[int]) -> None:
-    """G on the ascending ``axes`` of x, written into y, read from G's zeros.
+def _plan(G: np.ndarray, axes: list[int], shape: Sequence[int]):
+    """G on the ascending ``axes`` of a tensor of ``shape`` as an op of
+    :func:`_into`, read from G's zeros by exact tests (``!= 0`` and
+    equality), so that a 1e-300 or a NaN keeps an axis dense.
 
     A diagonal G is a copy when it is the identity, and one multiply when
-    its targets lie in x's trailing block. Else, on the first axis where
+    its targets lie in the trailing block. Else, on the first axis where
     every entry whose row and column digits differ there is 0, G is
     sum_i |i><i| (x) B_i: equal blocks leave that axis free for B_0, and
-    unequal ones split x and y into one sector per digit, sector i taking
-    B_i. Any other G goes to :func:`_into`. The tests are exact (``!= 0``
-    and equality), so a 1e-300 or a NaN keeps an axis dense.
+    unequal ones split it, digit i taking B_i. Any other G stays dense.
     """
     k = G.shape[0]
     diag = np.diagonal(G)
     if np.count_nonzero(G) == np.count_nonzero(diag):
         if (diag == 1).all():
-            y[...] = x
-            return
-        # x's axes from m on are the longest trailing run within one block
-        m = x.ndim
-        while m and prod(x.shape[m - 1 :]) <= _BLOCK:
+            return None
+        # the axes from m on are the longest trailing run within one block
+        m = len(shape)
+        while m and prod(shape[m - 1 :]) <= _BLOCK:
             m -= 1
         if not axes or axes[0] >= m:
             # the diagonal tiled over that block, so that numpy's inner
             # loop runs over all of it, not over the last target alone
-            shape = [x.shape[b] if b in axes else 1 for b in range(m, x.ndim)]
-            F = np.broadcast_to(diag.reshape(shape), x.shape[m:]).copy()
-            np.multiply(x, F, out=y)
-            return
+            tile = [shape[b] if b in axes else 1 for b in range(m, len(shape))]
+            return np.broadcast_to(diag.reshape(tile), shape[m:]).copy(), None
     s = len(axes)
-    dsub = [x.shape[a] for a in axes]
+    dsub = [shape[a] for a in axes]
     T = G.reshape(dsub + dsub)
     for p, a in enumerate(axes):
         d = dsub[p]
@@ -127,15 +128,10 @@ def _by_structure(y: np.ndarray, x: np.ndarray, G: np.ndarray, axes: list[int]) 
         Bs = [blocks[i, i].reshape(k // d, k // d) for i in range(d)]
         rest = axes[:p] + axes[p + 1 :]
         if all(np.array_equal(B, Bs[0]) for B in Bs[1:]):
-            _by_structure(y, x, Bs[0], rest)
-            return
+            return _plan(Bs[0], rest, shape)
         sub = [b - (b > a) for b in rest]
-        head = (slice(None),) * a
-        for i in range(d):
-            sl = head + (i, ...)  # a view even when x has one axis
-            _by_structure(y[sl], x[sl], Bs[i], sub)
-        return
-    _into(y, x, [None, G], axes, [], (1,))
+        return a, [_plan(B, sub, shape[:a] + shape[a + 1 :]) for B in Bs]
+    return G, axes
 
 
 def _controlled(G: np.ndarray, dims: list[int], ctrl: list[int], target: list[int]) -> np.ndarray:
@@ -174,50 +170,48 @@ def _super(Ks: Sequence[np.ndarray]) -> np.ndarray:
     return S
 
 
-def _into(y: np.ndarray, x: np.ndarray, Gs: list, axes: list[int], ctrl: list[int], js) -> None:
-    """Gs[j] on ``axes`` of x where every control axis reads j in js, else a
-    copy, written into y; ``axes`` and ``ctrl`` are ascending.
-
-    Splits on the first control: sectors whose digit is in js recurse with
-    that digit alone, the others are copied. Without controls, an adjacent
-    target run with R elements after it is one matmul written straight into
-    y when y's layout allows it. Otherwise x is split on its first free
-    (non-target) axis while it holds more than a block, and each block is
-    one matmul on a copy of it with the targets first, scattered into y.
+def _into(y: np.ndarray, x: np.ndarray, op) -> None:
+    """Apply ``op`` to x, written into y. ``op`` is ``None``, a copy;
+    ``(a, ops)``, a split of axis a with ``ops[i]`` on digit i;
+    ``(F, None)``, one multiply by F broadcast over x's trailing axes; or
+    ``(G, axes)``, G on the ascending ``axes``. G takes one matmul straight
+    into y for an adjacent target run when y's layout allows it, else a
+    split on x's first free axis while x holds more than a block, else one
+    matmul on a targets-first copy, scattered into y.
     """
-    if ctrl:
-        a = ctrl[0]
-        sub_axes = [b - (b > a) for b in axes]
-        sub_ctrl = [c - 1 for c in ctrl[1:]]
-        head = (slice(None),) * a
-        for i in range(x.shape[a]):
-            sl = head + (i,)
-            if i in js:
-                _into(y[sl], x[sl], Gs, sub_axes, sub_ctrl, (i,))
-            else:
-                y[sl] = x[sl]
+    if op is None:
+        y[...] = x
         return
-    G = Gs[js[0]]
-    lo, s, k = axes[0], len(axes), G.shape[0]
-    R = prod(x.shape[lo + s :])
-    if axes[-1] == lo + s - 1:
-        if R == 1 and y.flags.c_contiguous:
-            np.matmul(x.reshape(-1, k), G.T, out=y.reshape(-1, k))
+    if op[1] is None:
+        np.multiply(x, op[0], out=y)
+        return
+    if isinstance(op[0], np.ndarray):
+        G, axes = op
+        lo, s, k = axes[0], len(axes), G.shape[0]
+        R = prod(x.shape[lo + s :])
+        if axes[-1] == lo + s - 1:
+            if R == 1 and y.flags.c_contiguous:
+                np.matmul(x.reshape(-1, k), G.T, out=y.reshape(-1, k))
+                return
+            if k * R > _SHORT and y[(0,) * lo].flags.c_contiguous:
+                shape = x.shape[:lo] + (k, R)
+                np.matmul(G, x.reshape(shape), out=y.reshape(shape))
+                return
+        free = [b for b in range(x.ndim) if b not in axes]
+        if x.size <= _BLOCK or not free:
+            xt = x.transpose(axes + free)
+            y.transpose(axes + free)[...] = (G @ xt.reshape(k, -1)).reshape(xt.shape)
             return
-        if k * R > _SHORT and y[(0,) * lo].flags.c_contiguous:
-            shape = x.shape[:lo] + (k, R)
-            np.matmul(G, x.reshape(shape), out=y.reshape(shape))
-            return
-    free = [b for b in range(x.ndim) if b not in axes]
-    if x.size > _BLOCK and free:
         a = free[0]
-        sub_axes = [b - (b > a) for b in axes]
-        head = (slice(None),) * a
-        for i in range(x.shape[a]):
-            _into(y[head + (i,)], x[head + (i,)], Gs, sub_axes, [], js)
-        return
-    xt = x.transpose(axes + free)
-    y.transpose(axes + free)[...] = (G @ xt.reshape(k, -1)).reshape(xt.shape)
+        op = a, [(G, [b - (b > a) for b in axes])] * x.shape[a]
+    a, ops = op
+    head = (slice(None),) * a
+    for i, sub in enumerate(ops):
+        sl = head + (i, ...)  # a view even when x has one axis
+        if sub is None:  # a copy, inline: small controlled calls pay per call
+            y[sl] = x[sl]
+        else:
+            _into(y[sl], x[sl], sub)
 
 
 def _one_pass(dsub: int, r: int, D: int) -> bool:
@@ -268,7 +262,8 @@ def apply(state, U, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
 
     For a ket psi this computes (U on ``subsys``, identity elsewhere) psi;
     for a density matrix rho it conjugates, U_full rho U_full^dag. The
-    order of ``subsys`` fixes the tensor-factor order U acts in.
+    order of ``subsys`` fixes the tensor-factor order U acts in. NaN or
+    inf in the state or U gives an undefined, route-dependent result.
 
     Args:
         state: column ket of length prod(dims) or square matrix of that side.
@@ -292,7 +287,8 @@ def apply_ctrl(
 
     When every control subsystem (all of one dimension d) carries the
     value j, U^j acts on the target subsystems; any other control
-    configuration is left alone. Works on kets and density matrices.
+    configuration is left alone. Works on kets and density matrices. NaN
+    or inf in the state or U gives an undefined, route-dependent result.
     """
     op = "apply_ctrl"
     M, ds, _ = as_state(state, dims, op)
@@ -320,6 +316,7 @@ def apply_channel(rho, Ks, subsys: Sequence[int], dims: Sequence[int]) -> np.nda
 
     Computes sum_i K_i_full rho K_i_full^dag with each K_i embedded on
     ``subsys``. Preserves the trace when the channel is trace preserving.
+    NaN or inf in rho or a K_i gives an undefined, route-dependent result.
     """
     op = "apply_channel"
     ops = _check_kraus(Ks, op)
@@ -394,12 +391,13 @@ def choi2kraus(J) -> list[np.ndarray]:
 def ptrace(rho, subsys: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Trace OUT the listed subsystems of a density matrix or a ket.
 
-    The remaining subsystems keep their relative order. A density matrix
-    is summed over a strided view of its traced diagonal, so only the
-    entries that enter the sum are read and only the result is allocated
-    (a copy of rho when nothing is traced). A ket psi gives A A^dag, with
-    A the (kept, traced) matrix of its amplitudes, summed over blocks of
-    A's columns, so neither its D x D projector nor a copy of it is formed.
+    The remaining subsystems keep their relative order, and NaN or inf in
+    the state gives an undefined result. A density matrix is summed over a
+    strided view of its traced diagonal, so only the entries that enter the
+    sum are read and only the result is allocated (a copy of rho when
+    nothing is traced). A ket psi gives A A^dag, with A the (kept, traced)
+    matrix of its amplitudes, summed over blocks of A's columns, so neither
+    its D x D projector nor a copy of it is formed.
     """
     op = "ptrace"
     M, ds, is_ket = as_state(rho, dims, op)

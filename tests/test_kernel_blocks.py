@@ -1,16 +1,16 @@
 """The contraction kernel on states larger than one cache block.
 
 The property tests stay at or below 2^14 entries, one block of the
-kernel; here every state is larger, so every route runs: the control
-sector split (sectors where the controls read j get U^j, the others are
-copied), the split into blocks with one matmul each on a targets-first
-copy (non-adjacent targets, or short runs after the targets), and the
-two matmul layouts an adjacent target run takes when the output's slice
-is contiguous (the run last, or the run followed by a longer tail), and,
-without controls, the reading of G's zeros first (identity sectors
-copied, diagonal operators multiplied). Each result is checked against
-``ref_contract``, an independent oracle: one tensordot over the whole
-tensor.
+kernel; here every state is larger, so every route runs: the per-digit
+split of a control (digits where the controls read j get U^j, the others
+are copied), the split into blocks with one matmul each on a
+targets-first copy (non-adjacent targets, or short runs after the
+targets), the two matmul layouts an adjacent target run takes when the
+output's slice is contiguous (the run last, or the run followed by a
+longer tail), and the reading of G's zeros, with or without controls
+(identity sectors copied, diagonal operators multiplied). Each result is
+checked against ``ref_contract``, an independent oracle: one tensordot
+over the whole tensor.
 """
 
 from math import prod
@@ -210,23 +210,52 @@ def test_identity_sector_is_a_bitwise_copy():
     assert got[zero].tobytes() == rho.reshape(STRUCT_DIMS * 2)[zero].tobytes()
 
 
+def _dense_ops(monkeypatch):
+    """The shapes of the matrices that reach ``_into``'s matmul route from
+    now on: every ``(G, axes)`` op it is called with."""
+    seen = []
+    into = operations._into
+
+    def spy(y, x, op):
+        if op is not None and op[1] is not None and isinstance(op[0], np.ndarray):
+            seen.append(op[0].shape)
+        return into(y, x, op)
+
+    monkeypatch.setattr(operations, "_into", spy)
+    return seen
+
+
 @pytest.mark.parametrize("tiny", [1e-300, np.nan], ids=["1e-300", "nan"])
 def test_a_tiny_or_nan_entry_keeps_the_axis_dense(tiny, monkeypatch):
     # the entry couples control 0 to control 1, so the control axis is not
     # block-diagonal and the whole 4 x 4 goes to the gemm route
     G = CNOT.copy()
     G[0, 2] = tiny
-    seen = []
-    into = operations._into
-
-    def spy(y, x, Gs, axes, ctrl, js):
-        seen.append(Gs[js[0]].shape)
-        return into(y, x, Gs, axes, ctrl, js)
-
-    monkeypatch.setattr(operations, "_into", spy)
+    seen = _dense_ops(monkeypatch)
     psi = rand_ket(prod(DIMS), default_rng(48))
     out = apply(psi, G, [9, 3], DIMS)
     assert seen and set(seen) == {(4, 4)}
     want = ref_contract(psi.reshape(DIMS), G, [9, 3]).reshape(-1, 1)
     np.testing.assert_allclose(out, want, rtol=0, atol=TOL, equal_nan=True)
     assert np.isnan(out).any() == np.isnan(tiny)
+
+
+PHASE = np.diag([1, np.exp(0.7j)])
+
+
+@pytest.mark.parametrize("target", [[12], [5]], ids=["trailing", "middle"])
+def test_controlled_phase_takes_no_matmul(target, monkeypatch):
+    # a diagonal U under a control: its sector is read for zeros too, so it
+    # is one multiply by the diagonal tiled over the trailing block, or a
+    # copy and a multiply, one per digit of the target
+    psi = rand_ket(prod(DIMS), default_rng(49))
+    apply_ctrl(psi, PHASE, [3], target, DIMS)  # first call: numpy's lazy set-up
+    seen = _dense_ops(monkeypatch)
+    out, peak = peak_bytes(apply_ctrl, psi, PHASE, [3], target, DIMS)
+    assert seen == []
+    assert peak <= psi.nbytes + 2**20
+    t = psi.reshape(DIMS)
+    zero = (slice(None),) * 3 + (0,)
+    assert out.reshape(DIMS)[zero].tobytes() == t[zero].tobytes()
+    want = ref_contract(t, PHASE, target, [3]).reshape(-1, 1)
+    assert np.abs(out - want).max() < TOL

@@ -8,9 +8,11 @@ so small states take the routes that large ones do, and draws mixed
 dimensions, out-of-order targets, qudit controls and operators with the
 shapes the structure check looks for: dense, diagonal, triangular,
 block-diagonal, an identity factor on either side, the identity, and a
-controlled gate given as a plain matrix. Results must match the tensordot oracle of
-``_oracles`` to roundoff, and the same call made twice must be bitwise
-equal.
+controlled gate given as a plain matrix. Controls and the zeros the
+structure check finds both become per-digit splits of one writer, so
+each shape is also drawn under controls. Results must match the
+tensordot oracle of ``_oracles`` to roundoff, and the same call made
+twice must be bitwise equal.
 """
 
 from math import prod

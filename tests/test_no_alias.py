@@ -30,6 +30,10 @@ U3 = _ro(q.rand_unitary(3, _rng))
 U4 = _ro(q.rand_unitary(4, _rng))
 U12 = _ro(q.rand_unitary(12, _rng))
 I3 = _ro(np.eye(3))
+# a phase gate, and CNOT as a plain 4 x 4: above one block, both copy the
+# sectors they leave alone
+PHASE2 = _ro(np.diag([1, 1j]))
+CNOT4 = _ro(np.eye(4)[[0, 1, 3, 2]])
 # a permutation-times-phase basis on [2, 0]: the measure route without gemm
 PHASE_PERM4 = _ro(np.diag(np.exp(1j * np.arange(4)))[[2, 0, 3, 1]])
 KRAUS = [_ro(K) for K in rand_cptp(2, 2, _rng)]
@@ -49,6 +53,8 @@ CASES = {
     "apply_flat_ket": (q.apply, KET.reshape(-1), U2, [0], DIMS),
     "apply_ctrl_ket": (q.apply_ctrl, KET, U2, [0], [2], DIMS),
     "apply_ket_above_block": (q.apply, KET_BIG, U4, [12, 3], [2] * 16),
+    "apply_ctrl_phase_ket_above_block": (q.apply_ctrl, KET_BIG, PHASE2, [3], [9], [2] * 16),
+    "apply_cnot_ket_above_block": (q.apply, KET_BIG, CNOT4, [9, 3], [2] * 16),
     "apply_ctrl_rho_above_block": (q.apply_ctrl, RHO_BIG, U2, [6, 1], [4], [2] * 8),
     "apply_ctrl_rho": (q.apply_ctrl, RHO, U2, [2], [0], DIMS),
     "apply_ctrl_rho_multi": (q.apply_ctrl, RHO24, U2, [0, 2], [3], [2, 3, 2, 2]),
