@@ -14,6 +14,7 @@ import numpy as np
 from ._checks import TRACE_TOL, _targets, as_square, as_state, within
 from .constants import EPS
 from .exceptions import ErrorKind
+from .operations import _support
 from .randomness import _as_rng
 
 
@@ -45,26 +46,6 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
 
 
-def _monomial_rows(B: np.ndarray) -> np.ndarray | None:
-    """Row of each column's one nonzero entry when B has exactly one nonzero
-    per row and per column (a permutation matrix with any moduli and
-    phases), else None. NaN and inf count as nonzero."""
-    n = B.shape[0]
-    # most dense bases fail on their first column, before a pass over B
-    if np.count_nonzero(B[:, 0]) != 1:
-        return None
-    nz = B != 0
-    if np.count_nonzero(nz) != n:
-        return None
-    r, c = np.divmod(np.flatnonzero(nz), n)
-    # r ascends, so one nonzero per row means r == 0..n-1
-    if not (np.array_equal(r, np.arange(n)) and np.array_equal(np.sort(c), r)):
-        return None
-    rows = np.empty(n, dtype=np.intp)
-    rows[c] = r
-    return rows
-
-
 def measure(
     state,
     basis,
@@ -81,10 +62,11 @@ def measure(
         basis: square matrix whose COLUMNS are the measurement basis vectors,
             of side prod(dims[k] for k in subsys), orthonormal: max|B^dag B - I|
             at most 1e-12 (``DIMS_MISMATCH_MATRIX`` otherwise). A monomial
-            basis, one nonzero per row and per column (the identity, any
-            relabelling of the computational basis, with any phases), is
-            checked from its nonzeros in O(D^2) and applied as a gather and
-            a scale; any other basis is checked and applied by gemm.
+            basis, one nonzero per row and per column by the kernel's exact
+            test (a 1e-300, NaN or inf is a nonzero), such as the identity or
+            a phased relabelling of the computational basis, is checked in
+            O(D^2) and applied by one gather; any other basis is checked and
+            applied by one gemm. Kets and density matrices share both.
         subsys: distinct subsystem indices to measure (and remove).
         dims: dimension of each subsystem.
         rng: generator used for the single outcome draw; defaults to the
@@ -100,7 +82,14 @@ def measure(
     B = as_square(basis, op)
     ss = _targets(op, B.shape[0], subsys, ds, "basis", "measured")
     Dsub = B.shape[0]
-    rows = _monomial_rows(B)
+    ar = np.arange(Dsub)
+    # most dense bases fail on their first column, before a pass over B
+    nz = _support(B) if np.count_nonzero(B[:, 0]) == 1 else None
+    # r ascends, so one nonzero per row and per column is r == 0..D-1 and
+    # c a permutation of it: B is monomial, column i's nonzero in rows[i]
+    rows = None
+    if nz is not None and np.array_equal(nz[0], ar) and np.array_equal(np.sort(nz[1]), ar):
+        rows = np.argsort(nz[1])
     # an inf or overflowing entry makes err inf or NaN, which fails the check
     # below instead of raising numpy's warning first
     with np.errstate(invalid="ignore", over="ignore"):
@@ -109,39 +98,34 @@ def measure(
             err = np.abs(Bh @ B - np.eye(Dsub)).max()
         else:
             # B^dag B is diag(|v|^2): no gemm needed for the same error
-            v = B[rows, np.arange(Dsub)]
+            v = B[rows, ar]
             mod2 = v.real**2 + v.imag**2
             err = np.abs(mod2 - 1).max()
     within(err, EPS, op, "basis columns not orthonormal", ErrorKind.DIMS_MISMATCH_MATRIX)
     rng = _as_rng(rng, op)
 
+    # the measured axes first, on the rows and, for rho, on the columns too
     n = len(ds)
+    sides = 1 if is_ket else 2
     rest = M.shape[0] // Dsub
     order = ss + [k for k in range(n) if k not in ss]
+    X = M.reshape(ds * sides).transpose([h * n + k for h in range(sides) for k in order])
     if rows is not None:
         # B^dag maps e_rows[i] to conj(v_i) e_i: outcome i gathers the digits
-        # of rows[i] on the measured axes, one copy of only what it keeps.
+        # of rows[i] on the measured axes (of rho's rows and columns: its
+        # diagonal block), one copy of only what it keeps.
         digits = np.unravel_index(rows, [ds[k] for k in ss])
-        if is_ket:
-            blocks = M.reshape(ds).transpose(order)[digits].reshape(Dsub, rest)
-            blocks *= v.conj()[:, None]
-        else:
-            X = M.reshape(ds + ds).transpose(order + [n + k for k in order])
-            blocks = X[digits + (slice(None),) * (n - len(ss)) + digits].reshape(Dsub, rest, rest)
-            blocks *= mod2[:, None, None]
-    elif is_ket:
-        # One copy puts the measured axes first, one gemm applies B^dag:
-        # row i is the unnormalized outcome-i ket. The copy is freed at once.
-        blocks = Bh @ M.reshape(ds).transpose(order).reshape(Dsub, rest)
+        blocks = X[(digits + (slice(None),) * (n - len(ss))) * sides].reshape(Dsub, rest, -1)
+        blocks *= (v.conj() if is_ket else mod2)[:, None, None]
     else:
-        # The same copy and gemm on the rows; outcome i's diagonal block then
-        # needs only row i of B^dag, conjugated, on the columns.
-        X = M.reshape(ds + ds).transpose(order + [n + k for k in order])
-        Y = (Bh @ X.reshape(Dsub, -1)).reshape(Dsub, rest, Dsub, rest)
-        blocks = np.einsum("irjs,ij->irs", Y, Bh.conj())
+        # One gemm applies B^dag to the rows: row i is the unnormalized
+        # outcome i. On rho, outcome i's diagonal block then needs only
+        # row i of B^dag, conjugated, on the columns.
+        blocks = (Bh @ X.reshape(Dsub, -1)).reshape(Dsub, rest, -1)
+        if not is_ket:
+            blocks = np.einsum("irjs,ij->irs", blocks.reshape(Dsub, rest, Dsub, rest), Bh.conj())
     if is_ket:
-        probs = np.einsum("ij,ij->i", blocks.conj(), blocks).real
-        blocks = blocks[:, :, None]
+        probs = np.einsum("irk,irk->i", blocks.conj(), blocks).real
     else:
         probs = np.maximum(np.einsum("irr->i", blocks).real, 0.0)
     within(abs(probs.sum() - 1.0), TRACE_TOL, op, "state is not normalized")

@@ -59,8 +59,8 @@ def _contract(
     controls are per-digit splits of :func:`_into`. Digit j of the first
     control splits each later control, keeping digit j alone, down to G^j;
     every other digit is a copy. On a t larger than one block, each G^j's
-    zero structure is read into more such splits by :func:`_plan`; a dense G
-    pays one check of O(k^2).
+    zero structure is read into more such splits by :func:`_plan`; a G with
+    no zero pays one O(k^2) pass, that of :func:`_support`.
     """
     out = np.empty_like(t, order="C")
     axes = list(axes)
@@ -92,20 +92,34 @@ def _contract(
     return out
 
 
+def _support(G: np.ndarray):
+    """Row and column of each nonzero of G, in row-major order, or None when
+    G has more than one entry and no zero, so no structure to find. The
+    library's one exact-zero test: a 1e-300, a NaN or an inf is an entry."""
+    nz = G != 0
+    if G.size > 1 and np.count_nonzero(nz) == G.size:
+        return None
+    return np.unravel_index(np.flatnonzero(nz), G.shape)  # np.nonzero is slower on 2-d
+
+
 def _plan(G: np.ndarray, axes: list[int], shape: Sequence[int]):
     """G on the ascending ``axes`` of a tensor of ``shape`` as an op of
-    :func:`_into`, read from G's zeros by exact tests (``!= 0`` and
-    equality), so that a 1e-300 or a NaN keeps an axis dense.
+    :func:`_into`, read from the coordinates of G's nonzeros by
+    :func:`_support`: a G with no zero leaves after that one pass.
 
-    A diagonal G is a copy when it is the identity, and one multiply when
-    its targets lie in the trailing block. Else, on the first axis where
-    every entry whose row and column digits differ there is 0, G is
-    sum_i |i><i| (x) B_i: equal blocks leave that axis free for B_0, and
+    A diagonal G (each nonzero's row equal to its column) is a copy when it is
+    the identity, and one multiply when its targets lie in the trailing block.
+    Else, on the first axis where each nonzero's row and column digits agree,
+    G is sum_i |i><i| (x) B_i: equal blocks leave that axis free for B_0, and
     unequal ones split it, digit i taking B_i. Any other G stays dense.
     """
     k = G.shape[0]
-    diag = np.diagonal(G)
-    if np.count_nonzero(G) == np.count_nonzero(diag):
+    nz = _support(G)
+    if nz is None:
+        return G, axes
+    r, c = nz
+    if not np.count_nonzero(r != c):
+        diag = np.diagonal(G)
         if (diag == 1).all():
             return None
         # the axes from m on are the longest trailing run within one block
@@ -119,12 +133,13 @@ def _plan(G: np.ndarray, axes: list[int], shape: Sequence[int]):
             return np.broadcast_to(diag.reshape(tile), shape[m:]).copy(), None
     s = len(axes)
     dsub = [shape[a] for a in axes]
+    rd, cd = np.unravel_index(r, dsub), np.unravel_index(c, dsub)
     T = G.reshape(dsub + dsub)
     for p, a in enumerate(axes):
+        if np.count_nonzero(rd[p] != cd[p]):
+            continue
         d = dsub[p]
         blocks = np.moveaxis(T, (p, s + p), (0, 1))
-        if any(blocks[i, j].any() for i in range(d) for j in range(d) if i != j):
-            continue
         Bs = [blocks[i, i].reshape(k // d, k // d) for i in range(d)]
         rest = axes[:p] + axes[p + 1 :]
         if all(np.array_equal(B, Bs[0]) for B in Bs[1:]):

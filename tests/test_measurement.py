@@ -3,6 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from quditsim import measurement
 from quditsim import (
     EPS,
     ErrorKind,
@@ -18,6 +19,7 @@ from quditsim import (
     rand_unitary,
     st,
 )
+from test_properties import _check_measure
 
 
 def up_to_phase(a, b, tol=1e-12):
@@ -227,6 +229,26 @@ def test_nonzeros_sharing_a_row_are_not_a_permutation_basis():
     assert _rejected_basis(B, [2], [0]) == _gemm_detail(B)
     B = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=complex)
     assert _rejected_basis(B, [3], [0]) == _gemm_detail(B)
+
+
+@pytest.mark.parametrize("col", [0, 3], ids=["first_column", "later_column"])
+def test_a_1e_300_entry_makes_a_permutation_basis_dense(col, monkeypatch):
+    # the exact-zero test counts 1e-300 as an entry, as the kernel does, so
+    # the basis is not monomial: it passes the gemm's orthonormality check
+    # and matches the projector oracle. In column 0 the first-column look
+    # sends it on before the reader; in column 3 the reader sees 5 nonzeros.
+    B = _perm_basis(4, default_rng(15))
+    B[(np.flatnonzero(B[:, col])[0] + 1) % 4, col] = 1e-300
+    seen = []
+    support = measurement._support
+
+    def spy(G):
+        seen.append(support(G))
+        return seen[-1]
+
+    monkeypatch.setattr(measurement, "_support", spy)
+    _check_measure([2, 3, 2], [2, 0], B, 16)
+    assert [len(r) for r, _ in seen] == ([] if col == 0 else [5, 5])
 
 
 def test_basis_plus_quarter_identity_is_rejected():
