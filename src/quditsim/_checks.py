@@ -211,3 +211,24 @@ def as_state(state, dims: Sequence[int], op: str) -> tuple[np.ndarray, list[int]
             ErrorKind.NOT_SQUARE_NOR_KET, op, f"shape {M.shape} for total dimension {D}"
         )
     return M, list(ds), M.shape[1] == 1
+
+
+def _check_kraus(Ks, op: str) -> list[np.ndarray]:
+    try:
+        empty = Ks is None or len(Ks) == 0
+    except TypeError:
+        detail = f"Kraus list {Ks!r} is not a sequence"
+        raise QuantumError(ErrorKind.DIMS_INVALID, op, detail) from None
+    if empty:
+        raise QuantumError(ErrorKind.ZERO_SIZE, op, "empty Kraus list")
+    out = [as_square(K, op) for K in Ks]
+    if any(K.shape != out[0].shape for K in out):
+        raise QuantumError(ErrorKind.DIMS_MISMATCH_MATRIX, op, "Kraus operators differ in shape")
+    return out
+
+
+def _check_perm(perm: Sequence[int], op: str) -> list[int]:
+    p = as_ints(perm, op, "permutation entry")
+    if len(p) == 0 or sorted(p) != list(range(len(p))):
+        raise QuantumError(ErrorKind.PERM_INVALID, op, f"{p}")
+    return p

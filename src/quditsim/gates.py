@@ -16,7 +16,7 @@ import numpy as np
 from ._checks import _frozen, allocate, as_int, as_square, ctrl_targets
 from .constants import MAXN, omega
 from .exceptions import ErrorKind
-from .operations import _controlled
+from ._kernel import _controlled
 
 
 def cnot() -> np.ndarray:
@@ -84,7 +84,7 @@ def ctrl_gate(
     n = as_int(n, op, "n", 1, MAXN, kind=ErrorKind.DIMS_INVALID)
     ds = [d] * n
     cc, tt = ctrl_targets(op, M.shape[0], ctrl, target, ds)
-    return _controlled(M, ds, cc, tt)
+    return _controlled(M, ds, cc, tt, op)
 
 
 class GatesRegistry:

@@ -120,12 +120,12 @@ def save(A, sink) -> None:
     M = as_matrix(A, "save")
     header = _HEADER.pack(MAGIC, VERSION, M.shape[0], M.shape[1])
     payload = np.ascontiguousarray(M, dtype="<c16").tobytes()
-    # ValueError: a closed stream, or a NUL byte in a path
+    # ValueError: a closed stream, or a NUL byte in a path; TypeError: a text stream
     try:
         with _opened(sink, "wb", "save") as fh:
             fh.write(header)
             fh.write(payload)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise QuantumError(ErrorKind.IO_ERROR, "save", str(exc)) from None
 
 
@@ -162,9 +162,9 @@ def load(source) -> np.ndarray:
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    # ValueError: a closed stream, or a NUL byte in a path
+    # ValueError: a closed stream, or a NUL byte in a path; TypeError: a text stream
     try:
         with _opened(source, "rb", "load") as fh:
             return _read_record(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise QuantumError(ErrorKind.IO_ERROR, "load", str(exc)) from None

@@ -14,7 +14,7 @@ import numpy as np
 from ._checks import TRACE_TOL, _targets, as_square, as_state, within
 from .constants import EPS
 from .exceptions import ErrorKind
-from .operations import _support
+from ._kernel import _support
 from .randomness import _as_rng
 
 

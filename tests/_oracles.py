@@ -11,7 +11,7 @@ from math import log2, prod
 
 import numpy as np
 
-from quditsim import kron, syspermute
+from quditsim import bell00, kron, syspermute
 
 
 def ref_multiindex_enumeration(dims):
@@ -146,9 +146,21 @@ def ref_kraus2choi(Ks):
     return J
 
 
+def bell_projector():
+    """|Phi+><Phi+|, the density matrix of the Bell state bell00."""
+    return bell00() @ bell00().conj().T
+
+
+def rand_gauss(k, rng):
+    """A random complex k x k matrix with Gaussian entries: neither unitary,
+    Hermitian nor real, so G and G^T differ, and a kernel that swaps
+    kron(K, conj K) for kron(conj K, K) or drops a conjugate fails."""
+    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+
 def rand_cptp(D, k, rng):
     """k Kraus operators forming a random CPTP channel on dimension D."""
-    Gs = [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for _ in range(k)]
+    Gs = [rand_gauss(D, rng) for _ in range(k)]
     S = sum(G.conj().T @ G for G in Gs)
     w, V = np.linalg.eigh(S)
     S_inv_sqrt = V @ np.diag(1 / np.sqrt(w)) @ V.conj().T

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import ref_qmutualinfo
+from _oracles import bell_projector, ref_qmutualinfo
 from quditsim import (
     ErrorKind,
     QuantumError,
@@ -16,10 +16,6 @@ from quditsim import (
     rand_unitary,
     shannon,
 )
-
-
-def bell_projector():
-    return bell00() @ bell00().conj().T
 
 
 def test_shannon_values():

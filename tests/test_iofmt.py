@@ -187,8 +187,13 @@ def _closed_stream():
     return fh
 
 
-# a path open() rejects with ValueError, and a stream that cannot be used
-@pytest.mark.parametrize("target", ["a\0b", _closed_stream()], ids=["nul_path", "closed_stream"])
+# a path open() rejects with ValueError, and streams that cannot be used:
+# a closed one, and a text stream, which takes and gives str, not bytes
+@pytest.mark.parametrize(
+    "target",
+    ["a\0b", _closed_stream(), io.StringIO("QSIM")],
+    ids=["nul_path", "closed_stream", "text_stream"],
+)
 def test_save_and_load_report_io_error(target):
     with pytest.raises(QuantumError) as ei:
         save(np.eye(2), target)

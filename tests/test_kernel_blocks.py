@@ -18,28 +18,23 @@ from math import prod
 import numpy as np
 import pytest
 
-from _oracles import peak_bytes, rand_cptp, ref_conjugate, ref_contract
+from _oracles import peak_bytes, rand_cptp, rand_gauss, ref_conjugate, ref_contract
 from quditsim import (
     Zd,
     apply,
     apply_channel,
     apply_ctrl,
     default_rng,
-    operations,
     rand_ket,
     rand_rho,
 )
+from quditsim import _kernel
 
 # 110592 amplitudes; qubits at 1, 3, 5, 6, 8, 9, 11, 12, qutrits at 0, 4, 10
 DIMS = [3, 2, 4, 2, 3, 2, 2, 4, 2, 2, 3, 2, 2]
 # a 192 x 192 density matrix: 36864 entries
 RHO_DIMS = [2, 3, 2, 4, 2, 2]
 TOL = 1e-12
-
-
-def _gate(k, rng):
-    """A random complex k x k matrix: not unitary, so G and G^T differ."""
-    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
 
 
 @pytest.mark.parametrize(
@@ -60,7 +55,7 @@ def _gate(k, rng):
 def test_apply_above_one_block_matches_reference(target):
     rng = default_rng(41)
     psi = rand_ket(prod(DIMS), rng)
-    G = _gate(prod(DIMS[k] for k in target), rng)
+    G = rand_gauss(prod(DIMS[k] for k in target), rng)
     want = ref_contract(psi.reshape(DIMS), G, target).reshape(-1, 1)
     assert np.abs(apply(psi, G, target, DIMS) - want).max() < TOL
 
@@ -86,7 +81,7 @@ def test_apply_ctrl_above_one_block_matches_reference(ctrl, target):
     rng = default_rng(42)
     psi = rand_ket(prod(DIMS), rng)
     d = DIMS[ctrl[0]]
-    G = _gate(prod(DIMS[k] for k in target), rng)
+    G = rand_gauss(prod(DIMS[k] for k in target), rng)
     want = ref_contract(psi.reshape(DIMS), G, target, ctrl, d).reshape(-1, 1)
     assert np.abs(apply_ctrl(psi, G, ctrl, target, DIMS) - want).max() < TOL
 
@@ -100,7 +95,7 @@ def test_density_matrix_above_one_block_matches_reference(ctrl, target):
     D = prod(RHO_DIMS)
     rho = rand_rho(D, rng)
     t = rho.reshape(RHO_DIMS + RHO_DIMS)
-    G = _gate(prod(RHO_DIMS[k] for k in target), rng)
+    G = rand_gauss(prod(RHO_DIMS[k] for k in target), rng)
     if ctrl:
         got = apply_ctrl(rho, G, ctrl, target, RHO_DIMS)
         want = ref_conjugate(t, G, target, ctrl, RHO_DIMS[ctrl[0]])
@@ -125,7 +120,7 @@ def test_density_matrix_above_one_block_matches_reference(ctrl, target):
 def test_apply_allocates_one_output(dims, ctrl, target):
     rng = default_rng(44)
     psi = rand_ket(prod(dims), rng)
-    G = _gate(prod(dims[k] for k in target), rng)
+    G = rand_gauss(prod(dims[k] for k in target), rng)
 
     def call():
         if ctrl:
@@ -177,7 +172,7 @@ def test_structured_call_on_rho_allocates_one_output(case):
     rho = rand_rho(D, rng)
     t = rho.reshape(STRUCT_DIMS + STRUCT_DIMS)
     if case == "apply_ctrl":
-        U = _gate(2, rng)
+        U = rand_gauss(2, rng)
         args = (apply_ctrl, rho, U, [2], [5], STRUCT_DIMS)
         want = ref_conjugate(t, U, [5], [2])
     else:
@@ -205,7 +200,7 @@ def test_identity_sector_is_a_bitwise_copy():
     # on rho, the sector where the row and the column control both read 0
     D = prod(STRUCT_DIMS)
     rho = rand_rho(D, rng)
-    got = apply_ctrl(rho, _gate(2, rng), [2], [5], STRUCT_DIMS).reshape(STRUCT_DIMS * 2)
+    got = apply_ctrl(rho, rand_gauss(2, rng), [2], [5], STRUCT_DIMS).reshape(STRUCT_DIMS * 2)
     zero = (slice(None),) * 2 + (0,) + (slice(None),) * 7 + (0,)
     assert got[zero].tobytes() == rho.reshape(STRUCT_DIMS * 2)[zero].tobytes()
 
@@ -214,14 +209,14 @@ def _dense_ops(monkeypatch):
     """The shapes of the matrices that reach ``_into``'s matmul route from
     now on: every ``(G, axes)`` op it is called with."""
     seen = []
-    into = operations._into
+    into = _kernel._into
 
     def spy(y, x, op):
         if op is not None and op[1] is not None and isinstance(op[0], np.ndarray):
             seen.append(op[0].shape)
         return into(y, x, op)
 
-    monkeypatch.setattr(operations, "_into", spy)
+    monkeypatch.setattr(_kernel, "_into", spy)
     return seen
 
 

@@ -12,9 +12,13 @@ controlled gate given as a plain matrix. Controls and the zeros the
 structure check finds both become per-digit splits of one writer, so
 each shape is also drawn under controls. Results must match the
 tensordot oracle of ``_oracles`` to roundoff, and the same call made
-twice must be bitwise equal.
+twice must be bitwise equal. Two more tests check that the patches take:
+the patched names are bound in ``_kernel`` alone, and a spy sees each
+forced route taken.
 """
 
+import importlib
+import pkgutil
 from math import prod
 
 import numpy as np
@@ -22,25 +26,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ref_conjugate, ref_contract
+import quditsim
+from _oracles import rand_cptp, rand_gauss, ref_conjugate, ref_contract
 from quditsim import apply, apply_channel, apply_ctrl, default_rng, rand_ket, rand_rho, rand_unitary
-from quditsim import operations
+from quditsim import _kernel
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 TOL = 1e-10
 
-BLOCKS = [2, operations._BLOCK, 2**40]  # tiny, default, huge
-SHORTS = [0, operations._SHORT, 2**40]
+BLOCKS = [2, _kernel._BLOCK, 2**40]  # tiny, default, huge
+SHORTS = [0, _kernel._SHORT, 2**40]
 ONE_PASS = [True, False]
 KINDS = [
     "dense", "diagonal", "triangular", "block_diagonal", "eye_first", "eye_last", "identity",
     "controlled",
 ]
-
-
-def _gauss(k, rng):
-    """A random complex k x k matrix: not unitary, so G and G^T differ."""
-    return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
 
 
 def _operator(kind, dsub, rng):
@@ -53,16 +53,16 @@ def _operator(kind, dsub, rng):
         return np.diag(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     if kind == "triangular":
         # zero above the diagonal only: not block-diagonal on any factor
-        return np.tril(_gauss(k, rng))
+        return np.tril(rand_gauss(k, rng))
     if kind == "identity":
         return np.eye(k, dtype=complex)
     if kind == "eye_first":
-        return np.kron(np.eye(d0), _gauss(k // d0, rng))
+        return np.kron(np.eye(d0), rand_gauss(k // d0, rng))
     if kind == "eye_last":
-        return np.kron(_gauss(k // dl, rng), np.eye(dl))
+        return np.kron(rand_gauss(k // dl, rng), np.eye(dl))
     # block-diagonal on the first factor: random blocks, or I, U, U^2, ...
     U = rand_unitary(k // d0, rng)
-    blocks = [_gauss(k // d0, rng) for _ in range(d0)]
+    blocks = [rand_gauss(k // d0, rng) for _ in range(d0)]
     if kind == "controlled":
         blocks = [np.linalg.matrix_power(U, j) for j in range(d0)]
     G = np.zeros((k, k), dtype=complex)
@@ -94,9 +94,9 @@ def _forced(route, call):
     """call() twice under ``route``; the results must be bitwise equal."""
     block, short, one_pass = route
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operations, "_BLOCK", block)
-        mp.setattr(operations, "_SHORT", short)
-        mp.setattr(operations, "_one_pass", lambda *_: one_pass)
+        mp.setattr(_kernel, "_BLOCK", block)
+        mp.setattr(_kernel, "_SHORT", short)
+        mp.setattr(_kernel, "_one_pass", lambda *_: one_pass)
         out = call()
         again = call()
     assert out.tobytes() == again.tobytes()
@@ -138,3 +138,45 @@ def test_density_matrix_routes_match_reference(setup, kind, route, seed):
     got = _forced(route, lambda: apply_channel(rho, Ks, target, dims))
     want = sum(ref_conjugate(t, K, target) for K in Ks).reshape(D, D)
     assert np.abs(got - want).max() < TOL * max(1.0, np.abs(want).max())
+
+
+def test_patch_targets_are_bound_in_the_kernel_only():
+    # ``from ._kernel import _BLOCK`` elsewhere would be a second binding,
+    # which a patch of ``_kernel._BLOCK`` misses without a sign
+    names = [m.name for m in pkgutil.iter_modules(quditsim.__path__)]
+    modules = [quditsim] + [importlib.import_module(f"quditsim.{n}") for n in names]
+    for target in ["_BLOCK", "_SHORT", "_one_pass", "_into"]:
+        owners = [m.__name__ for m in modules if target in vars(m)]
+        assert owners == ["quditsim._kernel"], target
+
+
+def _spy(monkeypatch, name):
+    """The list that each call to ``_kernel.<name>`` appends to, recursive
+    calls included."""
+    calls = []
+    real = getattr(_kernel, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, name, spy)
+    return calls
+
+
+def test_forced_routes_are_taken(monkeypatch):
+    rng = default_rng(11)
+    dims = [2, 2, 2]
+    psi, U = rand_ket(8, rng), rand_unitary(2, rng)
+    into = _spy(monkeypatch, "_into")
+    apply(psi, U, [1], dims)
+    assert len(into) == 1  # within one block: one targets-first matmul
+    into.clear()
+    _forced((2, _kernel._SHORT, True), lambda: apply(psi, U, [1], dims))
+    assert len(into) > 2  # two calls, each split into blocks
+    supers = _spy(monkeypatch, "_super")
+    rho, Ks = rand_rho(8, rng), rand_cptp(2, 2, rng)
+    for one_pass in [True, False]:
+        supers.clear()
+        _forced((_kernel._BLOCK, _kernel._SHORT, one_pass), lambda: apply_channel(rho, Ks, [1], dims))
+        assert bool(supers) is one_pass

@@ -34,14 +34,16 @@ from quditsim import (
     vec,
 )
 
-from quditsim.operations import _one_pass
+from quditsim._kernel import _one_pass
 
 from _oracles import (
+    bell_projector,
     channel_on_basis,
     embed_ctrl,
     embed_operator,
     peak_bytes,
     rand_cptp,
+    rand_gauss,
     ref_ctrl_gate,
     ref_kraus2choi,
     ref_kraus2super,
@@ -50,10 +52,6 @@ from _oracles import (
 )
 
 DEPHASING = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-
-
-def bell_projector():
-    return bell00() @ bell00().conj().T
 
 
 # ---------------------------------------------------------------- apply
@@ -276,12 +274,6 @@ def test_apply_channel_errors():
     assert ei.value.kind is ErrorKind.DIMS_MISMATCH_MATRIX
 
 
-def _crand(shape, rng):
-    """Complex Gaussian matrix: neither Hermitian nor real, so a kernel that
-    swaps kron(K, conj K) for kron(conj K, K) or drops a conjugate fails."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 # dims, subsys, number of Kraus operators, whether the superoperator pass runs
 CHANNEL_ROUTES = [
     ([2, 3, 2], [2], 2, True),  # d_sub 2, r 2
@@ -297,8 +289,8 @@ def test_channel_routes_match_embedding(dims, subsys, r, one_pass):
     rng = np.random.default_rng(prod(dims) + r)
     D, dsub = prod(dims), prod(dims[k] for k in subsys)
     assert _one_pass(dsub, r, D) is one_pass
-    rho = _crand((D, D), rng)
-    Ks = [_crand((dsub, dsub), rng) for _ in range(r)]
+    rho = rand_gauss(D, rng)
+    Ks = [rand_gauss(dsub, rng) for _ in range(r)]
     Os = [embed_operator(K, subsys, dims) for K in Ks]
     expected = sum(O @ rho @ O.conj().T for O in Os)
     scale = np.abs(expected).max()
@@ -321,8 +313,8 @@ def test_apply_ctrl_rho_routes_match_embedding(dims, ctrl, target, one_pass):
     rng = np.random.default_rng(prod(dims) + len(ctrl))
     D, d = prod(dims), dims[ctrl[0]]
     assert _one_pass(prod(dims[k] for k in ctrl + target), 1, D) is one_pass
-    rho = _crand((D, D), rng)
-    U = _crand((prod(dims[k] for k in target),) * 2, rng)
+    rho = rand_gauss(D, rng)
+    U = rand_gauss(prod(dims[k] for k in target), rng)
     G = embed_ctrl(U, ctrl, target, dims, d)
     expected = G @ rho @ G.conj().T
     got = apply_ctrl(rho, U, ctrl, target, dims)
