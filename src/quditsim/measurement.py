@@ -25,17 +25,13 @@ class MeasurementOutcome(NamedTuple):
     The measured state must be normalized, to within the trace tolerance
     1e-6, so ``probs`` are Born probabilities that sum to 1. Outcomes with
     zero probability carry a zero-size sentinel state and are never
-    sampled.
+    sampled. The other states are disjoint views of one array per call, so
+    holding one of them keeps that call's array alive.
     """
 
     result: int
     probs: list[float]
     states: list[np.ndarray]
-
-
-# The post-measurement state of a full-register outcome; only copies of it
-# are returned.
-_ONE = np.ones((1, 1), dtype=np.complex128)
 
 
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -75,7 +71,10 @@ def measure(
     Returns:
         A :class:`MeasurementOutcome`; ``probs[i]`` is the Born probability
         of basis column i and ``states[i]`` the normalized state of the
-        unmeasured subsystems given that outcome.
+        unmeasured subsystems given that outcome, or the zero-size sentinel
+        when ``probs[i]`` is at most EPS. The states are disjoint views of
+        one array, all normalized by one multiply, so writing into one
+        changes no other, and holding one keeps the whole array alive.
     """
     op = "measure"
     M, ds, is_ket = as_state(state, dims, op)
@@ -120,22 +119,28 @@ def measure(
     else:
         # One gemm applies B^dag to the rows: row i is the unnormalized
         # outcome i. On rho, outcome i's diagonal block then needs only
-        # row i of B^dag, conjugated, on the columns.
+        # row i of B^dag, conjugated, on the columns: one batched matmul
+        # of the blocks, columns last, by that row as a column.
         blocks = (Bh @ X.reshape(Dsub, -1)).reshape(Dsub, rest, -1)
         if not is_ket:
-            blocks = np.einsum("irjs,ij->irs", blocks.reshape(Dsub, rest, Dsub, rest), Bh.conj())
+            blocks = blocks.reshape(Dsub, rest, Dsub, rest).transpose(0, 1, 3, 2)
+            blocks = (blocks @ B.T[:, None, :, None])[..., 0]
     if is_ket:
-        probs = np.einsum("irk,irk->i", blocks.conj(), blocks).real
+        # one real dot per outcome row, on the float view of the amplitudes
+        f = blocks.reshape(Dsub, 1, -1).view(np.float64)
+        probs = (f @ f.transpose(0, 2, 1)).reshape(Dsub)
     else:
         probs = np.maximum(np.einsum("irr->i", blocks).real, 0.0)
     within(abs(probs.sum() - 1.0), TRACE_TOL, op, "state is not normalized")
 
-    states: list[np.ndarray] = []
-    for p, b in zip(probs, blocks):
-        if p <= EPS:
-            states.append(np.zeros((0, 1 if is_ket else 0), dtype=np.complex128))
-        elif rest == 1:
-            states.append(_ONE.copy())
-        else:
-            states.append(b / (np.sqrt(p) if is_ket else p))
+    # The outcomes are disjoint rows of one array, normalized by one
+    # multiply; a full-register outcome is [[1]], a row of one ones array.
+    if rest == 1:
+        blocks = np.ones((Dsub, 1, 1), dtype=np.complex128)
+    else:
+        p = np.where(probs > EPS, probs, 1.0)
+        blocks *= (1.0 / (np.sqrt(p) if is_ket else p))[:, None, None]
+    states = list(blocks)
+    for i in np.flatnonzero(probs <= EPS):
+        states[i] = np.zeros((0, 1 if is_ket else 0), dtype=np.complex128)
     return MeasurementOutcome(_sample(probs, rng), probs.tolist(), states)

@@ -14,7 +14,8 @@ each shape is also drawn under controls. Results must match the
 tensordot oracle of ``_oracles`` to roundoff, and the same call made
 twice must be bitwise equal. Two more tests check that the patches take:
 the patched names are bound in ``_kernel`` alone, and a spy sees each
-forced route taken.
+forced route taken. A last property test checks the exact-zero reader,
+``_support``, against ``G != 0`` in every memory layout.
 """
 
 import importlib
@@ -180,3 +181,51 @@ def test_forced_routes_are_taken(monkeypatch):
         supers.clear()
         _forced((_kernel._BLOCK, _kernel._SHORT, one_pass), lambda: apply_channel(rho, Ks, [1], dims))
         assert bool(supers) is one_pass
+
+
+# An exact zero, a signed zero and the entries that must not read as zero,
+# planted in one half of an entry; the other half is zero or not.
+PLANTED = [0.0, -0.0, 1e-300, np.nan, np.inf, -np.inf]
+LAYOUTS = ["C", "F", "transposed", "strided"]
+
+
+def _laid_out(V, layout):
+    """V's values in the memory layout ``layout`` names."""
+    if layout == "C":
+        return V.copy()
+    if layout == "F":
+        return np.asfortranarray(V)
+    if layout == "transposed":
+        return V.T.copy().T
+    wide = np.zeros((2 * V.shape[0], 3 * V.shape[1]), dtype=complex)
+    wide[::2, 1::3] = V
+    return wide[::2, 1::3]
+
+
+@SETTINGS
+@given(
+    st.integers(1, 9),
+    st.lists(
+        st.tuples(st.integers(0, 80), st.booleans(), st.sampled_from(PLANTED), st.sampled_from([0.0, -0.0, 1.5])),
+        max_size=12,
+    ),
+    st.booleans(),
+    st.sampled_from(LAYOUTS),
+    st.integers(0, 2**32 - 1),
+)
+def test_support_reads_the_zeros_of_g_not_equal_zero(k, plants, sparse, layout, seed):
+    rng = default_rng(seed)
+    V = rand_gauss(k, rng)
+    if sparse:
+        V[rng.random((k, k)) < 0.5] = 0
+    for at, in_real, value, other in plants:
+        V.flat[at % V.size] = complex(value, other) if in_real else complex(other, value)
+    G = _laid_out(V, layout)
+    assert np.array_equal(G, V, equal_nan=True)
+    nz = G != 0
+    got = _kernel._support(G)
+    if G.size > 1 and nz.all():
+        assert got is None
+    else:
+        want = np.unravel_index(np.flatnonzero(nz), G.shape)
+        assert got is not None and all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -1,3 +1,4 @@
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -130,6 +131,54 @@ def test_zero_probability_outcome_never_sampled():
     for _ in range(200):
         out = measure(st.z0, np.eye(2), [0], [2], rng)
         assert out.result == 0
+
+
+def _with_dead_outcomes(B, subsys, dims, rng):
+    """A random ket whose measured part is B's column 0 plus random columns
+    from 3 on: outcome 1 has probability 0 and outcome 2 1e-18 <= EPS."""
+    a = rng.standard_normal(len(B)) + 1j * rng.standard_normal(len(B))
+    a[1], a[2] = 0, 1e-9 * np.linalg.norm(a)
+    c = B @ (a / np.linalg.norm(a))
+    rest = [k for k in range(len(dims)) if k not in subsys]
+    phi = rand_ket(int(np.prod([dims[k] for k in rest])), rng)
+    t = np.multiply.outer(c, phi.ravel()).reshape([dims[k] for k in subsys + rest])
+    return t.transpose(np.argsort(subsys + rest)).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("subsys", [[2, 0], [0, 1, 2]], ids=["partial", "full_register"])
+@pytest.mark.parametrize("basis", ["dense", "monomial"])
+@pytest.mark.parametrize("kind", ["ket", "rho"])
+def test_post_states_are_disjoint_and_dead_outcomes_keep_the_sentinel(kind, basis, subsys):
+    dims = [2, 3, 2]
+    rng = default_rng(31)
+    dsub = int(np.prod([dims[k] for k in subsys]))
+    B = rand_unitary(dsub, rng) if basis == "dense" else _perm_basis(dsub, rng)
+    psi = _with_dead_outcomes(B, subsys, dims, rng)
+    if kind == "ket":
+        state = psi
+    else:
+        other = _with_dead_outcomes(B, subsys, dims, rng)
+        state = 0.5 * (psi @ psi.conj().T + other @ other.conj().T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = measure(state, B, subsys, dims, rng)
+    side = 1 if dsub == 12 else 3
+    empty = (0, 1) if kind == "ket" else (0, 0)
+    for i, (p, post) in enumerate(zip(out.probs, out.states)):
+        if i in (1, 2):
+            assert p <= EPS and post.shape == empty
+        else:
+            assert p > EPS and post.shape == ((side, 1) if kind == "ket" else (side, side))
+        assert not np.shares_memory(post, state) and not np.shares_memory(post, B)
+        for other_post in out.states[:i]:
+            assert not np.shares_memory(post, other_post)
+    before = [post.copy() for post in out.states]
+    for i, post in enumerate(out.states):
+        post[...] = 7
+        for j, other_post in enumerate(out.states):
+            if j != i:
+                assert np.array_equal(other_post, before[j])
+        post[...] = before[i]
 
 
 def test_measure_matches_projector_oracle_mixed_dims():

@@ -44,6 +44,10 @@ CHOI = _ro(q.kraus2choi(KRAUS))
 KET_BIG = _ro(q.rand_ket(2**16, _rng))
 RHO_BIG = _ro(q.rand_rho(2**8, _rng))
 VEC = _ro(q.vec(RHO))
+# measure's full-register outcomes in the identity basis, and the diagonal
+# outcome blocks of a 256 x 256 rho in a dense basis on three qubits
+I12 = _ro(np.eye(12))
+U8 = _ro(q.rand_unitary(8, _rng))
 
 CASES = {
     "apply_ket": (q.apply, KET, U3, [1], DIMS),
@@ -63,10 +67,12 @@ CASES = {
     "apply_channel_kraus_route": (q.apply_channel, RHO, KRAUS12, [0, 1, 2], DIMS),
     "measure_ket": (q.measure, KET, U2, [2], DIMS, q.default_rng(0)),
     "measure_ket_all": (q.measure, KET, U12, [0, 1, 2], DIMS, q.default_rng(0)),
+    "measure_ket_full_register": (q.measure, KET, I12, [0, 1, 2], DIMS, q.default_rng(0)),
     "measure_rho": (q.measure, RHO, U3, [1], DIMS, q.default_rng(0)),
     "measure_rho_all": (q.measure, RHO, U12, [0, 1, 2], DIMS, q.default_rng(0)),
     "measure_ket_monomial": (q.measure, KET, PHASE_PERM4, [2, 0], DIMS, q.default_rng(0)),
     "measure_rho_monomial": (q.measure, RHO, PHASE_PERM4, [2, 0], DIMS, q.default_rng(0)),
+    "measure_rho_dense_above_block": (q.measure, RHO_BIG, U8, [6, 1, 3], [2] * 8, q.default_rng(0)),
     "ptrace_ket_empty": (q.ptrace, KET, [], DIMS),
     "ptrace_rho_empty": (q.ptrace, RHO, [], DIMS),
     "ptrace_rho": (q.ptrace, RHO, [1], DIMS),
