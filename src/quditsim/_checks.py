@@ -87,8 +87,8 @@ def as_dims(dims: Sequence[int], op: str) -> tuple[tuple[int, ...], int]:
 
 
 def allocate(op: str, make, shape, dtype=np.complex128) -> np.ndarray:
-    """``make(shape, dtype=dtype)`` for ``make`` np.zeros, np.eye or a
-    generator's draw.
+    """``make(shape, dtype=dtype)`` for ``make`` np.zeros, np.empty, np.eye
+    or a generator's draw.
 
     numpy's MemoryError, or its ValueError for a shape whose byte count
     overflows, becomes ``DIMS_INVALID``.

@@ -1,11 +1,14 @@
 """The contraction kernel: operators and channels on subsystems of a state,
-the blocked ket reduction, and the size thresholds that pick their routes.
+the blocked ket reduction, the size thresholds that pick their routes, and
+the allocator of state-sized outputs.
 
 Private. Public modules validate with :mod:`._checks`, then call in here; an
 ``op`` argument is the public call's name, which an allocation error carries."""
 
 from __future__ import annotations
 
+import sys
+import threading
 from bisect import bisect
 from itertools import product
 from math import prod
@@ -23,24 +26,64 @@ _BLOCK = 1 << 14
 # k times the free side R after them is at most this takes the
 # targets-first route instead.
 _SHORT = 32
+# Outputs of at least this many elements, 32 MiB of complex128, reuse a
+# buffer that an earlier output of the calling thread released. Above
+# glibc's largest mmap threshold, 32 MiB, every fresh array is new pages,
+# which the OS zeroes on first touch: one more pass over the state.
+_RECYCLE = 1 << 21
+
+
+def _refs(bufs: list[np.ndarray]) -> list[int]:
+    return [sys.getrefcount(b) for b in bufs]
+
+
+# What _refs reads for an object that only its list holds, measured through
+# _refs itself, so that it holds however the interpreter counts references
+# from its own stack.
+_ALONE = _refs([object()])[0]
+
+
+def _empty(shape: Sequence[int], op: str) -> np.ndarray:
+    """An uninitialized complex128 array of ``shape``, for a kernel output.
+
+    Below ``_RECYCLE`` elements, a fresh ``allocate``. At or above it, a
+    buffer of the same size from the calling thread's list, when one is
+    free: only the list holds it. A view, reshape, slice or memoryview of an
+    array holds its base, so no live array can see a free buffer. Every
+    other free buffer is dropped, and the list keeps at most two, the
+    fewest with which ``psi = apply(psi, ...)`` alternates between two
+    buffers. The list is an attribute of the thread, not of this module, so
+    a re-import of the package starts no second one.
+    """
+    n = prod(shape)
+    if n < _RECYCLE:
+        return allocate(op, np.empty, shape)
+    bufs = vars(threading.current_thread()).setdefault("_quditsim_buffers", [])
+    refs = _refs(bufs)
+    held = [b for b, r in zip(bufs, refs) if r > _ALONE]
+    fits = [b for b, r in zip(bufs, refs) if r == _ALONE and b.size == n]
+    buf = fits[0] if fits else allocate(op, np.empty, n)
+    bufs[:] = (held + [buf])[-2:]
+    return buf.reshape(shape)
 
 
 def _contract(
-    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int] = ()
+    t: np.ndarray, G: np.ndarray, axes: Sequence[int], ctrl: Sequence[int], op: str
 ) -> np.ndarray:
     """Apply the square matrix G to ``axes`` of tensor t, in that factor order.
 
-    Never writes t; the result is its one allocation of t's size and shares
-    no memory with t. With ``ctrl`` set, G^j acts only on the slice where
-    every control axis (all of one dimension d, read from t) equals j: the
-    controlled G is block-diagonal there, with blocks I and G^j, so the
-    controls are per-digit splits of :func:`_into`. Digit j of the first
+    Never writes t; the result, from :func:`_empty`, is its one array of
+    t's size and shares no memory with t or with any live array. With
+    ``ctrl`` set, G^j acts only on the slice where every control axis (all
+    of one dimension d, read from t) equals j: the controlled G is
+    block-diagonal there, with blocks I and G^j, so the controls are
+    per-digit splits of :func:`_into`. Digit j of the first
     control splits each later control, keeping digit j alone, down to G^j;
     every other digit is a copy. On a t larger than one block, each G^j's
     zero structure is read into more such splits by :func:`_plan`; a G with
     no zero pays one O(k^2) pass, that of :func:`_support`.
     """
-    out = np.empty_like(t, order="C")
+    out = _empty(t.shape, op)
     axes = list(axes)
     s = len(axes)
     order = sorted(range(s), key=axes.__getitem__)
@@ -147,7 +190,7 @@ def _controlled(
     """
     k = prod(dims)
     eye = allocate(op, np.eye, k).reshape([*dims, k])
-    return _contract(eye, G, target, ctrl).reshape(k, k)
+    return _contract(eye, G, target, ctrl, op).reshape(k, k)
 
 
 def _kraus_sum(Ks: Sequence[np.ndarray], op: str) -> np.ndarray:
@@ -244,9 +287,9 @@ def _channel(
         if ctrl:
             nc = len(ctrl)
             Ks = [_controlled(K, local, list(range(nc)), list(range(nc, len(sub))), op) for K in Ks]
-        return _contract(t, _super(Ks, op), [n + a for a in sub] + sub)
+        return _contract(t, _super(Ks, op), [n + a for a in sub] + sub, (), op)
     cols = [n + a for a in axes], [n + c for c in ctrl]
-    terms = (_contract(_contract(t, K, axes, ctrl), K.conj(), *cols) for K in Ks)
+    terms = (_contract(_contract(t, K, axes, ctrl, op), K.conj(), *cols, op) for K in Ks)
     out = next(terms)
     for term in terms:
         out += term
@@ -258,7 +301,7 @@ def _apply(
 ) -> np.ndarray:
     """G on ``axes`` of the ket M, or conjugating the density matrix M."""
     if M.shape[1] == 1:
-        return _contract(M.reshape(ds), G, axes, ctrl).reshape(M.shape)
+        return _contract(M.reshape(ds), G, axes, ctrl, op).reshape(M.shape)
     return _channel(M.reshape(ds + ds), [G], axes, op, ctrl).reshape(M.shape)
 
 

@@ -24,7 +24,7 @@ class MeasurementOutcome(NamedTuple):
 
     The measured state must be normalized, to within the trace tolerance
     1e-6, so ``probs`` are Born probabilities that sum to 1. Outcomes with
-    zero probability carry a zero-size sentinel state and are never
+    probability at most EPS carry a zero-size sentinel state and are never
     sampled. The other states are disjoint views of one array per call, so
     holding one of them keeps that call's array alive.
     """
@@ -135,12 +135,14 @@ def measure(
 
     # The outcomes are disjoint rows of one array, normalized by one
     # multiply; a full-register outcome is [[1]], a row of one ones array.
+    live = probs > EPS
     if rest == 1:
         blocks = np.ones((Dsub, 1, 1), dtype=np.complex128)
     else:
-        p = np.where(probs > EPS, probs, 1.0)
+        p = np.where(live, probs, 1.0)
         blocks *= (1.0 / (np.sqrt(p) if is_ket else p))[:, None, None]
     states = list(blocks)
-    for i in np.flatnonzero(probs <= EPS):
+    for i in np.flatnonzero(~live):
         states[i] = np.zeros((0, 1 if is_ket else 0), dtype=np.complex128)
-    return MeasurementOutcome(_sample(probs, rng), probs.tolist(), states)
+    # an outcome with the sentinel is drawn with probability 0
+    return MeasurementOutcome(_sample(np.where(live, probs, 0.0), rng), probs.tolist(), states)

@@ -12,6 +12,7 @@ import threading
 
 import numpy as np
 
+from . import _kernel
 from ._checks import allocate, as_int
 from .exceptions import ErrorKind, QuantumError
 
@@ -43,9 +44,9 @@ def _as_rng(rng, op: str) -> np.random.Generator:
     return rng
 
 
-def _ginibre(rows: int, cols: int, rng: np.random.Generator, op: str) -> np.ndarray:
-    real = allocate(op, rng.standard_normal, (rows, cols), np.float64)
-    return (real + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def _ginibre(D: int, rng: np.random.Generator, op: str) -> np.ndarray:
+    real = allocate(op, rng.standard_normal, (D, D), np.float64)
+    return (real + 1j * rng.standard_normal((D, D))) / np.sqrt(2.0)
 
 
 def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -56,24 +57,36 @@ def rand_unitary(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """
     D = as_int(D, "rand_unitary", "D", 1)
     rng = _as_rng(rng, "rand_unitary")
-    Q, R = np.linalg.qr(_ginibre(D, D, rng, "rand_unitary"))
+    Q, R = np.linalg.qr(_ginibre(D, rng, "rand_unitary"))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
 
 
 def rand_ket(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Haar-uniform pure state: normalized vector of i.i.d. complex Gaussians."""
+    """Haar-uniform pure state: normalized vector of i.i.d. complex Gaussians.
+
+    D real parts, then D imaginary parts, each of variance 1/2 as in
+    :func:`_ginibre`, are written into the output and scaled in place, so
+    the only array of its size is the output: from 32 MiB on, like a
+    kernel output, a buffer that an earlier output of the calling thread
+    released.
+    """
     D = as_int(D, "rand_ket", "D", 1)
     rng = _as_rng(rng, "rand_ket")
-    v = _ginibre(D, 1, rng, "rand_ket")
-    return v / np.linalg.norm(v)
+    v = _kernel._empty((D, 1), "rand_ket")
+    f = v.view(np.float64)
+    f[:, 0] = rng.standard_normal(D)
+    f[:, 1] = rng.standard_normal(D)
+    v /= np.sqrt(2.0)
+    v /= np.linalg.norm(v)
+    return v
 
 
 def rand_rho(D: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Random density matrix G G^dag / trace(G G^dag) for Ginibre G."""
     D = as_int(D, "rand_rho", "D", 1)
     rng = _as_rng(rng, "rand_rho")
-    G = _ginibre(D, D, rng, "rand_rho")
+    G = _ginibre(D, rng, "rand_rho")
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
 

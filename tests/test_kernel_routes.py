@@ -12,10 +12,13 @@ controlled gate given as a plain matrix. Controls and the zeros the
 structure check finds both become per-digit splits of one writer, so
 each shape is also drawn under controls. Results must match the
 tensordot oracle of ``_oracles`` to roundoff, and the same call made
-twice must be bitwise equal. Two more tests check that the patches take:
-the patched names are bound in ``_kernel`` alone, and a spy sees each
-forced route taken. A last property test checks the exact-zero reader,
-``_support``, against ``G != 0`` in every memory layout.
+twice must be bitwise equal. The two route tests run once more with
+``_RECYCLE`` at 1, so that every output, and every temporary of rho's
+two-pass route, may be a buffer that an earlier output released. Two more
+tests check that the patches take: the patched names are bound in
+``_kernel`` alone, and a spy sees each forced route taken. A last property
+test checks the exact-zero reader, ``_support``, against ``G != 0`` in
+every memory layout.
 """
 
 import importlib
@@ -91,37 +94,63 @@ def setups(draw, max_D):
 routes = st.tuples(st.sampled_from(BLOCKS), st.sampled_from(SHORTS), st.sampled_from(ONE_PASS))
 
 
-def _forced(route, call):
-    """call() twice under ``route``; the results must be bitwise equal."""
+def _forced(route, call, recycle=_kernel._RECYCLE):
+    """call() twice under ``route``, outputs of ``recycle`` elements and
+    more taking released buffers; the results must be bitwise equal."""
     block, short, one_pass = route
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "_BLOCK", block)
         mp.setattr(_kernel, "_SHORT", short)
         mp.setattr(_kernel, "_one_pass", lambda *_: one_pass)
+        mp.setattr(_kernel, "_RECYCLE", recycle)
         out = call()
         again = call()
     assert out.tobytes() == again.tobytes()
     return out
 
 
+KET_CASES = given(setups(max_D=144), st.sampled_from(KINDS), routes, st.integers(0, 2**32 - 1))
+RHO_CASES = given(setups(max_D=36), st.sampled_from(KINDS), routes, st.integers(0, 2**32 - 1))
+
+
 @SETTINGS
-@given(setups(max_D=144), st.sampled_from(KINDS), routes, st.integers(0, 2**32 - 1))
+@KET_CASES
 def test_ket_routes_match_reference(setup, kind, route, seed):
+    _ket_case(setup, kind, route, seed, _kernel._RECYCLE)
+
+
+@SETTINGS
+@KET_CASES
+def test_ket_routes_match_reference_into_recycled_outputs(setup, kind, route, seed):
+    _ket_case(setup, kind, route, seed, 1)
+
+
+@SETTINGS
+@RHO_CASES
+def test_density_matrix_routes_match_reference(setup, kind, route, seed):
+    _rho_case(setup, kind, route, seed, _kernel._RECYCLE)
+
+
+@SETTINGS
+@RHO_CASES
+def test_density_matrix_routes_match_reference_into_recycled_outputs(setup, kind, route, seed):
+    _rho_case(setup, kind, route, seed, 1)
+
+
+def _ket_case(setup, kind, route, seed, recycle):
     dims, target, ctrl, d = setup
     rng = default_rng(seed)
     psi = rand_ket(prod(dims), rng)
     G = _operator(kind, [dims[k] for k in target], rng)
     if ctrl:
-        got = _forced(route, lambda: apply_ctrl(psi, G, ctrl, target, dims))
+        got = _forced(route, lambda: apply_ctrl(psi, G, ctrl, target, dims), recycle)
     else:
-        got = _forced(route, lambda: apply(psi, G, target, dims))
+        got = _forced(route, lambda: apply(psi, G, target, dims), recycle)
     want = ref_contract(psi.reshape(dims), G, target, ctrl, d).reshape(-1, 1)
     assert np.abs(got - want).max() < TOL * max(1.0, np.abs(want).max())
 
 
-@SETTINGS
-@given(setups(max_D=36), st.sampled_from(KINDS), routes, st.integers(0, 2**32 - 1))
-def test_density_matrix_routes_match_reference(setup, kind, route, seed):
+def _rho_case(setup, kind, route, seed, recycle):
     dims, target, ctrl, d = setup
     rng = default_rng(seed)
     D = prod(dims)
@@ -130,13 +159,13 @@ def test_density_matrix_routes_match_reference(setup, kind, route, seed):
     dsub = [dims[k] for k in target]
     G = _operator(kind, dsub, rng)
     if ctrl:
-        got = _forced(route, lambda: apply_ctrl(rho, G, ctrl, target, dims))
+        got = _forced(route, lambda: apply_ctrl(rho, G, ctrl, target, dims), recycle)
     else:
-        got = _forced(route, lambda: apply(rho, G, target, dims))
+        got = _forced(route, lambda: apply(rho, G, target, dims), recycle)
     want = ref_conjugate(t, G, target, ctrl, d).reshape(D, D)
     assert np.abs(got - want).max() < TOL * max(1.0, np.abs(want).max())
     Ks = [G, _operator(kind, dsub, rng)]
-    got = _forced(route, lambda: apply_channel(rho, Ks, target, dims))
+    got = _forced(route, lambda: apply_channel(rho, Ks, target, dims), recycle)
     want = sum(ref_conjugate(t, K, target) for K in Ks).reshape(D, D)
     assert np.abs(got - want).max() < TOL * max(1.0, np.abs(want).max())
 
@@ -146,7 +175,7 @@ def test_patch_targets_are_bound_in_the_kernel_only():
     # which a patch of ``_kernel._BLOCK`` misses without a sign
     names = [m.name for m in pkgutil.iter_modules(quditsim.__path__)]
     modules = [quditsim] + [importlib.import_module(f"quditsim.{n}") for n in names]
-    for target in ["_BLOCK", "_SHORT", "_one_pass", "_into"]:
+    for target in ["_BLOCK", "_SHORT", "_RECYCLE", "_one_pass", "_into", "_empty"]:
         owners = [m.__name__ for m in modules if target in vars(m)]
         assert owners == ["quditsim._kernel"], target
 

@@ -133,6 +133,22 @@ def test_zero_probability_outcome_never_sampled():
         assert out.result == 0
 
 
+class _LastUniform(np.random.Generator):
+    """A generator whose uniform draw is the largest double below 1."""
+
+    def random(self, *args, **kwargs):
+        return 1 - 2.0**-53
+
+
+def test_an_outcome_at_or_below_eps_is_never_sampled():
+    # outcome 1 has 0 < p <= EPS, so it carries the sentinel; a draw at the
+    # top of [0, 1) must still land on outcome 0
+    psi = np.array([[sqrt(1 - 1e-13)], [sqrt(1e-13)]])
+    out = measure(psi, np.eye(2), [0], [2], _LastUniform(np.random.PCG64(0)))
+    assert 0 < out.probs[1] <= EPS and out.states[1].shape == (0, 1)
+    assert out.result == 0
+
+
 def _with_dead_outcomes(B, subsys, dims, rng):
     """A random ket whose measured part is B's column 0 plus random columns
     from 3 on: outcome 1 has probability 0 and outcome 2 1e-18 <= EPS."""

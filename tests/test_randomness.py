@@ -52,6 +52,17 @@ def test_rand_ket_norm_and_scalar():
     assert abs(abs(one[0, 0]) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("D", [1, 2, 7, 4096])
+def test_rand_ket_is_the_normalized_ginibre_column_bitwise(D):
+    # the draws, real parts then imaginary parts, through the Ginibre
+    # column's own arithmetic; rand_ket writes them into its output in place
+    rng = np.random.default_rng(8)
+    v = (rng.standard_normal((D, 1)) + 1j * rng.standard_normal((D, 1))) / np.sqrt(2.0)
+    want = v / np.linalg.norm(v)
+    got = rand_ket(D, default_rng(8))
+    assert got.shape == (D, 1) and got.tobytes() == want.tobytes()
+
+
 def test_rand_ket_uniform_marginal():
     rng = default_rng(5)
     vals = [abs(rand_ket(4, rng)[0, 0]) ** 2 for _ in range(10_000)]
